@@ -84,12 +84,10 @@ func TestStepBlockZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedStepZeroAlloc gates the trace-fused replay shape — one
-// columnar block stepped through K heterogeneous warm machines back to
-// back — at zero heap allocations per block round. This is the steady
-// state of FuseSweep, fused Sweep groups, and stemsd's same-trace sets;
-// the set plumbing around it adds only an atomic counter per block, so
-// this loop is the entire per-block cost.
+// TestFusedStepZeroAlloc gates one columnar block stepped through K
+// heterogeneous warm machines back to back at zero heap allocations per
+// block round: the steady state of a sweep or figure panel whose runs
+// replay one resident trace, block for block.
 func TestFusedStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
@@ -123,7 +121,7 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = bt.BlockAt(i)
 	}
-	// Warm every lane to its high-water mark with one full replay.
+	// Warm every machine to its high-water mark with one full replay.
 	for _, b := range blocks {
 		for _, m := range machines {
 			m.StepBlock(b)

@@ -407,11 +407,9 @@ func fig10CellMachines(b *testing.B, opt sim.Options) []*sim.Machine {
 	return machines
 }
 
-// BenchmarkFig10CellSeqSeeds is the pre-lockstep reference shape of one
-// Figure 10 cell: 5 confidence-interval seeds of the DB2 workload, each
-// seed's panel (stride baseline + 3 kinds) replayed one machine at a
-// time. Compare with BenchmarkFig10CellLockstep — the ns/op ratio is the
-// wall-clock win of the MachineSet replay.
+// BenchmarkFig10CellSeqSeeds measures one Figure 10 cell: 5
+// confidence-interval seeds of the DB2 workload, each seed's panel
+// (stride baseline + 3 kinds) replayed one machine at a time.
 func BenchmarkFig10CellSeqSeeds(b *testing.B) {
 	spec, _ := workload.ByName("DB2")
 	const accesses, seeds = 100_000, 5
@@ -428,33 +426,9 @@ func BenchmarkFig10CellSeqSeeds(b *testing.B) {
 	}
 }
 
-// BenchmarkFig10CellLockstep replays the same 5-seed cell as
-// BenchmarkFig10CellSeqSeeds, but each seed's panel advances as one
-// lockstep MachineSet over a shared trace cursor: every block is fetched
-// once and stepped by all four machines while its columns are hot, and on
-// multi-core hosts the lanes advance in parallel (Parallelism 0 =
-// GOMAXPROCS — on a single-core runner the benchmark isolates the pure
-// cache-locality win).
-func BenchmarkFig10CellLockstep(b *testing.B) {
-	spec, _ := workload.ByName("DB2")
-	const accesses, seeds = 100_000, 5
-	opt := sim.DefaultOptions()
-	opt.System = config.ScaledSystem()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s := 0; s < seeds; s++ {
-			bt := spec.GenerateBlocks(1+int64(s)*stems.SeedStride, accesses)
-			set := sim.NewSharedSet(bt.Blocks(), fig10CellMachines(b, opt)...)
-			if _, err := set.Run(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// sweepBenchGrid builds the multi-predictor same-trace grid the sweep
-// benchmarks replay: one DB2 cell, four predictor kinds, one shared
-// arena so trace generation is paid once per iteration on both sides.
+// sweepBenchGrid builds the multi-predictor same-trace grid
+// BenchmarkSweep replays: one DB2 cell, four predictor kinds, one shared
+// arena so trace generation is paid once per iteration.
 func sweepBenchGrid(b *testing.B, arena *stems.Arena, accesses int) []*stems.Runner {
 	b.Helper()
 	preds := []string{"stride", "sms", "tms", "stems"}
@@ -476,40 +450,18 @@ func sweepBenchGrid(b *testing.B, arena *stems.Arena, accesses int) []*stems.Run
 	return grid
 }
 
-// BenchmarkSweepPerRun is the pre-fusion reference shape of a
-// multi-predictor sweep: four predictors over one DB2 trace, each run
-// replaying the (arena-cached) trace with its own cursor, one run at a
-// time — the order a single daemon worker executes an unfused job in.
-// Compare with BenchmarkSweepFused; the accesses/sec ratio is the
-// sweep-fusion win.
-func BenchmarkSweepPerRun(b *testing.B) {
+// BenchmarkSweep replays a four-predictor grid over one 100k-access DB2
+// trace through stems.Sweep at default parallelism: the arena generates
+// the trace once per iteration, and each run replays it on its own
+// cursor. CI gates its accesses/sec against bench/baseline.json.
+func BenchmarkSweep(b *testing.B) {
 	const accesses = 100_000
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arena := stems.NewArena()
 		grid := sweepBenchGrid(b, arena, accesses)
-		if _, err := stems.Sweep(ctx, grid, stems.WithFusion(false), stems.WithParallelism(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(4*accesses)*float64(b.N)/b.Elapsed().Seconds(), "accesses/sec")
-}
-
-// BenchmarkSweepFused replays the same four-predictor grid as
-// BenchmarkSweepPerRun as one fused lockstep set over a single shared
-// cursor: every block is fetched once and stepped by all four machines
-// while its columns are hot, and on multi-core hosts the lanes advance
-// in parallel (on a single-core runner the ratio isolates the pure
-// cache-locality win of the shared cursor).
-func BenchmarkSweepFused(b *testing.B) {
-	const accesses = 100_000
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena := stems.NewArena()
-		grid := sweepBenchGrid(b, arena, accesses)
-		if _, err := stems.FuseSweep(ctx, grid); err != nil {
+		if _, err := stems.Sweep(ctx, grid); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -119,10 +119,6 @@ type (
 	// (present when the daemon runs with -peers): the shard map, runs
 	// bucketed by owning peer, and misrouted arrivals.
 	ClusterMetrics = enc.ClusterMetrics
-	// LockstepMetrics is the run-folding section of ServiceMetrics:
-	// lockstep sets formed, runs folded into them, and whole trace
-	// traversals avoided by fused same-trace sets.
-	LockstepMetrics = enc.LockstepMetrics
 	// SchedMetrics is the cron-scheduler section of ServiceMetrics
 	// (present when the daemon runs with schedules configured).
 	SchedMetrics = enc.SchedMetrics

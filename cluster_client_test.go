@@ -191,11 +191,11 @@ func TestClusterSweepFasterAndByteIdentical(t *testing.T) {
 }
 
 // TestClusterSweepFoldsPerPeer: a routed sweep whose per-peer groups
-// share a trace must execute as one fused lockstep set on each peer —
-// observable in every peer's /metrics lockstep counters — while staying
-// byte-identical to direct in-process runs. Ownership is per run
-// content address, so the test searches for trace cells whose predictor
-// variants co-locate rather than assuming they do.
+// share a trace arrives at each peer as one multi-run job, computes
+// exactly that peer's runs there — observable in every peer's /metrics —
+// and stays byte-identical to direct in-process runs. Ownership is per
+// run content address, so the test searches for trace cells whose
+// predictor variants co-locate rather than assuming they do.
 func TestClusterSweepFoldsPerPeer(t *testing.T) {
 	const accesses = 10_000
 	preds := []string{"stride", "sms", "tms", "stems"}
@@ -215,8 +215,7 @@ func TestClusterSweepFoldsPerPeer(t *testing.T) {
 	}
 
 	// For each peer, find a seed where at least two predictor variants of
-	// the em3d trace are owned by that peer: those runs arrive in one job
-	// and must fold into one fused set over a single cursor.
+	// the em3d trace are owned by that peer: those runs arrive in one job.
 	svcByURL := map[string]*service.Service{}
 	for i, u := range urls {
 		svcByURL[u] = svcs[i]
@@ -271,32 +270,19 @@ func TestClusterSweepFoldsPerPeer(t *testing.T) {
 		}
 	}
 
-	// Every peer folded its whole group into one fused set: the trace was
-	// traversed once per peer, not once per run.
-	for _, peer := range cc.Peers() {
-		ls := svcByURL[peer].Metrics().Lockstep
-		want := groupSize[peer]
-		if ls.SetsFormed != 1 {
-			t.Errorf("peer %s formed %d lockstep sets, want 1", peer, ls.SetsFormed)
-		}
-		if ls.RunsFolded != uint64(want) {
-			t.Errorf("peer %s folded %d runs, want %d", peer, ls.RunsFolded, want)
-		}
-		if ls.TracesSaved != uint64(want-1) {
-			t.Errorf("peer %s saved %d trace traversals, want %d", peer, ls.TracesSaved, want-1)
-		}
-	}
-
-	// The counters also travel the wire: /metrics from each peer must
-	// agree with the in-process service view.
+	// Every peer computed exactly its own group, and /metrics from each
+	// peer agrees with the in-process service view.
 	wire, err := cc.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, peer := range cc.Peers() {
-		if wire[i].Lockstep != svcByURL[peer].Metrics().Lockstep {
-			t.Errorf("peer %s: /metrics lockstep %+v != service %+v",
-				peer, wire[i].Lockstep, svcByURL[peer].Metrics().Lockstep)
+		want := uint64(groupSize[peer])
+		if got := svcByURL[peer].Metrics().RunsComputed; got != want {
+			t.Errorf("peer %s computed %d runs, want %d", peer, got, want)
+		}
+		if wire[i].RunsComputed != want {
+			t.Errorf("peer %s: /metrics runs_computed = %d, want %d", peer, wire[i].RunsComputed, want)
 		}
 	}
 }

@@ -77,9 +77,9 @@ func run() int {
 	}
 
 	// Figures 6-9 and the hybrid ablation all replay the base-seed trace.
-	// When more than one is requested, compute them as one fused lockstep
-	// pass per workload (byte-identical to the standalone functions) so
-	// each trace is traversed once for the whole batch.
+	// When more than one is requested, compute them as one panel per
+	// workload (byte-identical to the standalone functions), which shares
+	// the hybrid ablation's STeMS run with Figure 9.
 	fusedCount := 0
 	for _, f := range []string{"6", "7", "8", "9", "hybrid"} {
 		if all || want[f] {

@@ -5,10 +5,8 @@
 // registry ("stemsim -predictors -v" prints the full table), with short
 // aliases for the STeMS knobs DESIGN.md calls out; points run through
 // stems.Sweep and print in sweep order regardless of which finishes
-// first. Because every point of a knob sweep replays the same trace,
-// the whole grid executes by default as one fused lockstep set over a
-// single cursor — the trace is traversed once for the sweep, not once
-// per point (-fuse=false restores per-point replay).
+// first. Every point replays the same trace, generated once into a
+// shared arena; each point runs on its own cursor over it.
 //
 //	sweep -param rmob -workload em3d
 //	sweep -param stems.lookahead -values 2,4,8,12,16 -workload Zeus
@@ -70,7 +68,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "workload seed")
 		accesses    = flag.Int("accesses", 0, "trace length (0 = workload default)")
 		parallelism = flag.Int("parallelism", 0, "concurrent sweep points (0 = GOMAXPROCS, 1 = serial)")
-		fuse        = flag.Bool("fuse", true, "run same-trace points as one fused lockstep set over a single cursor (one trace traversal for the whole sweep); -fuse=false replays the trace per point, which lowers time-to-first-record with -json")
 		jsonOut     = flag.Bool("json", false, "emit results as NDJSON in the stemsd service encoding (diffable against /v1/jobs results), flushed per record")
 		gridURL     = flag.String("grid", "", "submit the sweep as one server-side grid job to the stemsd daemon at this base URL instead of running locally")
 	)
@@ -158,8 +155,7 @@ func main() {
 		grid[i] = r
 	}
 
-	var sweepOpts []stems.SweepOption
-	sweepOpts = append(sweepOpts, stems.WithParallelism(*parallelism), stems.WithFusion(*fuse))
+	sweepOpts := []stems.SweepOption{stems.WithParallelism(*parallelism)}
 
 	// In JSON mode records stream: each completed run is staged by grid
 	// index and the longest finished prefix is encoded and flushed

@@ -77,9 +77,9 @@ func (o *corrObserver) compare(g Generation) {
 	o.prior.Put(g.Key, g.Seq)
 }
 
-// CorrDistCollector exposes the Figure 8 study as a lockstep-set lane
-// (see JointCollector): the observer machine replays a shared cursor, and
-// Result flushes the still-open generations before reading.
+// CorrDistCollector exposes the Figure 8 study as a panel machine
+// (see JointCollector): the observer machine replays the workload's
+// trace, and Result flushes the still-open generations before reading.
 type CorrDistCollector struct {
 	obs     *corrObserver
 	m       *sim.Machine
@@ -97,7 +97,7 @@ func NewCorrDistCollector(sys config.System) *CorrDistCollector {
 	return &CorrDistCollector{obs: obs, m: sim.NewMachine(sys, obs)}
 }
 
-// Machine returns the lane machine to replay.
+// Machine returns the observer machine to replay.
 func (c *CorrDistCollector) Machine() *sim.Machine { return c.m }
 
 // Result flushes open generations (once) and returns the distribution.

@@ -185,10 +185,10 @@ func (o *jointObserver) OnOffChipEvent(a trace.Access, covered bool) {
 	}
 }
 
-// JointCollector exposes the Figure 6 classification as a lockstep-set
-// lane: the observer machine it wraps can replay a shared cursor next to
-// other machines (sim.NewSharedSet), so the joint analysis rides the same
-// trace pass as the predictor panels instead of paying its own traversal.
+// JointCollector exposes the Figure 6 classification as a panel machine:
+// the observer machine it wraps replays the workload's trace next to the
+// predictor machines (figures.FusedPanels), so the joint analysis shares
+// their resident trace instead of resolving its own.
 type JointCollector struct {
 	obs *jointObserver
 	m   *sim.Machine
@@ -203,7 +203,7 @@ func NewJointCollector(sys config.System, smsCfg config.SMS) *JointCollector {
 	return &JointCollector{obs: obs, m: sim.NewMachine(sys, obs)}
 }
 
-// Machine returns the lane machine to replay.
+// Machine returns the observer machine to replay.
 func (c *JointCollector) Machine() *sim.Machine { return c.m }
 
 // Result reads the classification; call it after the replay finishes.

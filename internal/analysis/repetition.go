@@ -130,9 +130,9 @@ func (o *repetitionObserver) OnOffChipEvent(a trace.Access, covered bool) {
 	}
 }
 
-// RepetitionCollector exposes the Figure 7 study as a lockstep-set lane
-// (see JointCollector): the observer machine replays a shared cursor, and
-// Result builds the grammar taxonomy afterwards.
+// RepetitionCollector exposes the Figure 7 study as a panel machine
+// (see JointCollector): the observer machine replays the workload's
+// trace, and Result builds the grammar taxonomy afterwards.
 type RepetitionCollector struct {
 	obs *repetitionObserver
 	m   *sim.Machine
@@ -144,7 +144,7 @@ func NewRepetitionCollector(sys config.System) *RepetitionCollector {
 	return &RepetitionCollector{obs: obs, m: sim.NewMachine(sys, obs)}
 }
 
-// Machine returns the lane machine to replay.
+// Machine returns the observer machine to replay.
 func (c *RepetitionCollector) Machine() *sim.Machine { return c.m }
 
 // Result classifies the collected sequences. Call it after the replay

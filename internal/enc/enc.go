@@ -405,8 +405,9 @@ type Metrics struct {
 	// and expanded server-side.
 	GridJobs uint64 `json:"grid_jobs"`
 
-	// Lockstep reports run folding: how often the scheduler merged a
-	// job's runs into lockstep sets instead of executing them one by one.
+	// Lockstep is always zero: every run executes on its own cursor, so
+	// no runs fold into lockstep sets. The section stays for clients that
+	// read it.
 	Lockstep LockstepMetrics `json:"lockstep"`
 
 	// Sched reports the cron scheduler; absent when the daemon runs
@@ -426,19 +427,12 @@ type Metrics struct {
 	Cluster *ClusterMetrics `json:"cluster,omitempty"`
 }
 
-// LockstepMetrics is the /metrics section for run folding: a job's runs
-// that replay the same trace (any predictors/knobs) fuse onto one shared
-// cursor, and runs differing only by seed advance as one seed set.
+// LockstepMetrics is the retired /metrics section for run folding. The
+// service no longer folds runs into lockstep sets, so every field reads
+// zero; the wire shape is kept so existing readers still decode.
 type LockstepMetrics struct {
-	// SetsFormed counts lockstep sets of two or more lanes actually
-	// executed (fused same-trace sets and seed sets alike).
-	SetsFormed uint64 `json:"sets_formed"`
-	// RunsFolded counts the runs those sets absorbed — runs that were
-	// simulated as set lanes rather than as standalone runs.
-	RunsFolded uint64 `json:"runs_folded"`
-	// TracesSaved counts whole trace traversals avoided by shared-cursor
-	// (same-trace) sets: lanes minus one per fused set. Seed sets save
-	// no traversals (each lane replays its own trace) and don't count.
+	SetsFormed  uint64 `json:"sets_formed"`
+	RunsFolded  uint64 `json:"runs_folded"`
 	TracesSaved uint64 `json:"traces_saved"`
 }
 

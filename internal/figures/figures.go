@@ -85,15 +85,27 @@ func (p Params) traceFor(spec workload.Spec) *trace.BlockTrace {
 	return p.traceAt(spec, p.Seed)
 }
 
-// laneParallelism is the worker bound for a per-workload lockstep set:
-// when workloads already fan out across goroutines each cell's set runs
-// serially; a standalone (non-parallel) figure lets the set use the whole
-// machine instead.
+// laneParallelism is the worker bound for a per-workload panel: when
+// workloads already fan out across goroutines each panel replays
+// serially; a standalone (non-parallel) figure lets the panel use the
+// whole machine instead.
 func (p Params) laneParallelism() int {
 	if p.Parallel {
 		return 1
 	}
 	return 0
+}
+
+// replayPanel replays every machine of one workload's panel over its own
+// cursor on bt, up to laneParallelism at a time, and returns the results
+// in machine order. Machines share nothing but the read-only trace, so
+// any schedule produces the same results.
+func (p Params) replayPanel(bt *trace.BlockTrace, machines []*sim.Machine) []sim.Result {
+	results, _ := par.Map(context.Background(), len(machines), p.laneParallelism(),
+		func(_ context.Context, i int) (sim.Result, error) {
+			return machines[i].RunBlocks(bt.Blocks()), nil
+		})
+	return results
 }
 
 // forEachWorkload runs fn over the suite, optionally in parallel,
@@ -289,21 +301,14 @@ func runOne(p Params, spec workload.Spec, kind sim.Kind, seed int64) sim.Result 
 }
 
 // Figure9 measures covered/uncovered/overpredicted per workload and
-// predictor. Each workload's kind panel replays as one lockstep set over
-// a single shared trace cursor — one traversal for all three predictors,
-// byte-identical to running them alone.
+// predictor. Each workload's kind panel replays one resident trace.
 func Figure9(p Params) []Fig9Row {
 	return forEachWorkload(p, func(spec workload.Spec) Fig9Row {
 		machines := make([]*sim.Machine, len(Fig9Kinds))
 		for i, kind := range Fig9Kinds {
 			machines[i] = buildFigMachine(p, spec, kind)
 		}
-		set := sim.NewSharedSet(p.traceFor(spec).Blocks(), machines...)
-		set.Parallelism = p.laneParallelism()
-		results, err := set.Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
+		results := p.replayPanel(p.traceFor(spec), machines)
 		row := Fig9Row{Workload: spec.Name}
 		for i, kind := range Fig9Kinds {
 			res := results[i]
@@ -371,21 +376,15 @@ type Fig10Row struct {
 // baseline across seeds (the stand-in for the paper's SimFlex sampling).
 //
 // Each seed's panel — the stride baseline plus every compared kind —
-// replays as one lockstep MachineSet over a single shared trace cursor:
-// the trace is generated once, each block is fetched once and stepped by
-// all four machines while its columns are hot in cache, and the results
-// are byte-identical to the former one-run-per-kind loop (machines share
-// no mutable state; the equivalence suite pins this). Extra
-// confidence-interval seeds never enter the arena at all — their trace
-// lives exactly as long as their set replays, which replaces the
-// generate-then-Drop arena juggling the sequential loop needed to keep
-// peak memory near one trace per worker.
+// replays one generation of the seed's trace. Extra confidence-interval
+// seeds never enter the arena at all: their trace lives exactly as long
+// as their panel replays, which keeps peak memory near one trace per
+// worker.
 func Figure10(p Params) []Fig10Row {
 	seeds := p.Seeds
 	if seeds <= 0 {
 		seeds = 1
 	}
-	laneParallelism := p.laneParallelism()
 	return forEachWorkload(p, func(spec workload.Spec) Fig10Row {
 		row := Fig10Row{Workload: spec.Name, Speedup: map[sim.Kind]*stats.Sample{}}
 		for _, kind := range Fig10Kinds {
@@ -412,12 +411,7 @@ func Figure10(p Params) []Fig10Row {
 				}
 				machines = append(machines, m)
 			}
-			set := sim.NewSharedSet(bt.Blocks(), machines...)
-			set.Parallelism = laneParallelism
-			results, err := set.Run(context.Background())
-			if err != nil {
-				panic(err)
-			}
+			results := p.replayPanel(bt, machines)
 			base := results[0]
 			for i, kind := range Fig10Kinds {
 				row.Speedup[kind].Add(float64(base.Cycles)/float64(results[i+1].Cycles) - 1)
@@ -479,22 +473,18 @@ func (h HybridRow) Ratio() float64 {
 }
 
 // HybridAblation runs the §5.5 comparison on the commercial workloads
-// (the paper quotes the OLTP/web ratio). The two machines fuse onto one
-// shared cursor per workload.
+// (the paper quotes the OLTP/web ratio), replaying both machines over one
+// resident trace per workload.
 func HybridAblation(p Params) []HybridRow {
 	var rows []HybridRow
 	for _, spec := range workload.Suite() {
 		if spec.Class != workload.ClassWeb && spec.Class != workload.ClassOLTP {
 			continue
 		}
-		set := sim.NewSharedSet(p.traceFor(spec).Blocks(),
+		results := p.replayPanel(p.traceFor(spec), []*sim.Machine{
 			buildFigMachine(p, spec, sim.KindNaiveHybrid),
-			buildFigMachine(p, spec, sim.KindSTeMS))
-		set.Parallelism = p.laneParallelism()
-		results, err := set.Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
+			buildFigMachine(p, spec, sim.KindSTeMS),
+		})
 		rows = append(rows, hybridRow(spec, results[0], results[1]))
 	}
 	return rows
@@ -541,15 +531,15 @@ type Panels struct {
 	Hybrid []HybridRow
 }
 
-// FusedPanels computes all of Panels in one pass over each workload's
-// trace: the three analysis observers, the Figure 9 predictor kinds, and
-// (on commercial workloads) the naive hybrid advance as one lockstep set
-// over a single shared cursor, so a full paper reproduction traverses
-// each trace once instead of once per figure cell. Results are
-// byte-identical to the individual figure functions — observer machines
-// and predictor machines share no mutable state — and the figures test
-// suite pins the equivalence. The hybrid rows reuse the Figure 9 STeMS
-// lane (the two figures build identically configured machines).
+// FusedPanels computes all of Panels in one call: per workload, the three
+// analysis observers, the Figure 9 predictor kinds, and (on commercial
+// workloads) the naive hybrid replay the workload's trace as one panel,
+// so the trace is resolved once for every figure that reads it. Results
+// are byte-identical to the individual figure functions — observer
+// machines and predictor machines share no mutable state — and the
+// figures test suite pins the equivalence. The hybrid rows reuse the
+// Figure 9 STeMS result (the two figures build identically configured
+// machines).
 func FusedPanels(p Params) Panels {
 	type row struct {
 		fig6 Fig6Row
@@ -558,11 +548,11 @@ func FusedPanels(p Params) Panels {
 		fig9 Fig9Row
 		hyb  *HybridRow
 	}
-	const analysisLanes = 3
-	stemsLane := -1
+	const analysisMachines = 3
+	stemsAt := -1
 	for i, kind := range Fig9Kinds {
 		if kind == sim.KindSTeMS {
-			stemsLane = analysisLanes + i
+			stemsAt = analysisMachines + i
 		}
 	}
 	rows := forEachWorkload(p, func(spec workload.Spec) row {
@@ -575,23 +565,18 @@ func FusedPanels(p Params) Panels {
 			machines = append(machines, buildFigMachine(p, spec, kind))
 		}
 		commercial := spec.Class == workload.ClassWeb || spec.Class == workload.ClassOLTP
-		naiveLane, hybridSTeMSLane := -1, stemsLane
+		naiveAt, hybridSTeMSAt := -1, stemsAt
 		if commercial {
-			naiveLane = len(machines)
+			naiveAt = len(machines)
 			machines = append(machines, buildFigMachine(p, spec, sim.KindNaiveHybrid))
-			if hybridSTeMSLane < 0 {
+			if hybridSTeMSAt < 0 {
 				// Fig9Kinds without STeMS (someone swapped the panel): give
-				// the ablation its own lane rather than skipping the row.
-				hybridSTeMSLane = len(machines)
+				// the ablation its own machine rather than skipping the row.
+				hybridSTeMSAt = len(machines)
 				machines = append(machines, buildFigMachine(p, spec, sim.KindSTeMS))
 			}
 		}
-		set := sim.NewSharedSet(p.traceFor(spec).Blocks(), machines...)
-		set.Parallelism = p.laneParallelism()
-		results, err := set.Run(context.Background())
-		if err != nil {
-			panic(err)
-		}
+		results := p.replayPanel(p.traceFor(spec), machines)
 		out := row{
 			fig6: Fig6Row{Workload: spec.Name, Class: spec.Class, Result: joint.Result()},
 			fig7: Fig7Row{Workload: spec.Name, Rep: rep.Result()},
@@ -599,7 +584,7 @@ func FusedPanels(p Params) Panels {
 			fig9: Fig9Row{Workload: spec.Name},
 		}
 		for i, kind := range Fig9Kinds {
-			res := results[analysisLanes+i]
+			res := results[analysisMachines+i]
 			out.fig9.Cells = append(out.fig9.Cells, Fig9Cell{
 				Kind:     kind,
 				Coverage: res.Coverage(),
@@ -608,7 +593,7 @@ func FusedPanels(p Params) Panels {
 			})
 		}
 		if commercial {
-			h := hybridRow(spec, results[naiveLane], results[hybridSTeMSLane])
+			h := hybridRow(spec, results[naiveAt], results[hybridSTeMSAt])
 			out.hyb = &h
 		}
 		return out

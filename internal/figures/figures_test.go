@@ -225,11 +225,11 @@ func TestWorkloadsCharacterization(t *testing.T) {
 
 // TestFigure10GeneratesEachTraceOnce is the trace-economy acceptance
 // check: a full Figure 10 run — 1 baseline + 3 predictor kinds over every
-// workload and seed — replays each seed's panel as one lockstep set over
-// one shared cursor, so only the base-seed traces (shared with the other
+// workload and seed — replays each seed's panel over one generation of
+// its trace, so only the base-seed traces (shared with the other
 // figures) ever enter the arena. The extra confidence-interval seeds are
-// generated privately, consumed by their set in a single pass, and never
-// become resident anywhere.
+// generated privately, consumed by their panel, and never become
+// resident anywhere.
 func TestFigure10GeneratesEachTraceOnce(t *testing.T) {
 	p := DefaultParams()
 	p.Accesses = 5_000
@@ -267,8 +267,8 @@ func TestFullFigureRunSharesBaseTraces(t *testing.T) {
 	Workloads(p)
 	st := p.Arena.Stats()
 	suite := len(workload.Suite())
-	// Base seeds only: Figure 10's extra confidence-interval seeds replay
-	// as arena-bypassing lockstep sets.
+	// Base seeds only: Figure 10's extra confidence-interval seeds
+	// bypass the arena.
 	want := suite
 	if st.Generations != want {
 		t.Fatalf("full figure run generated %d traces, want %d", st.Generations, want)

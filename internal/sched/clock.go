@@ -9,9 +9,12 @@ import (
 // deterministically with a FakeClock.
 type Clock interface {
 	Now() time.Time
-	// After behaves like time.After; the scheduler waits on it between
-	// fires (capped, so a live clock never sleeps unboundedly).
-	After(d time.Duration) <-chan time.Time
+	// Until returns a channel that receives once the clock reaches
+	// deadline — at once if it already has. The scheduler waits on it
+	// between fires. The deadline is absolute, so time that passes
+	// between reading Now and arming the wait shortens the wait instead
+	// of postponing the fire.
+	Until(deadline time.Time) <-chan time.Time
 }
 
 // RealClock is the production Clock.
@@ -20,8 +23,10 @@ type RealClock struct{}
 // Now implements Clock.
 func (RealClock) Now() time.Time { return time.Now() }
 
-// After implements Clock.
-func (RealClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
+// Until implements Clock.
+func (RealClock) Until(deadline time.Time) <-chan time.Time {
+	return time.After(time.Until(deadline))
+}
 
 // FakeClock is a manually advanced Clock for tests. Advance moves the
 // clock and releases any waiter whose deadline has passed.
@@ -48,17 +53,17 @@ func (f *FakeClock) Now() time.Time {
 	return f.now
 }
 
-// After implements Clock. A non-positive duration fires immediately.
-func (f *FakeClock) After(d time.Duration) <-chan time.Time {
+// Until implements Clock. A deadline not after the current fake time
+// fires immediately.
+func (f *FakeClock) Until(deadline time.Time) <-chan time.Time {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ch := make(chan time.Time, 1)
-	at := f.now.Add(d)
-	if d <= 0 {
+	if !deadline.After(f.now) {
 		ch <- f.now
 		return ch
 	}
-	f.waiters = append(f.waiters, fakeWaiter{at: at, ch: ch})
+	f.waiters = append(f.waiters, fakeWaiter{at: deadline, ch: ch})
 	return ch
 }
 

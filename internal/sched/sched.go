@@ -329,7 +329,7 @@ func (s *Scheduler) loop() {
 			}
 		}
 		s.mu.Unlock()
-		ch := s.clock.After(sleep)
+		ch := s.clock.Until(now.Add(sleep))
 		s.parks.Add(1)
 		select {
 		case <-ch:

@@ -320,6 +320,55 @@ func TestStopRejectsMutation(t *testing.T) {
 	s.Stop() // idempotent
 }
 
+// nowSignal is a FakeClock that reports Now calls on a channel (dropping
+// reports nobody has received yet).
+type nowSignal struct {
+	*FakeClock
+	called chan struct{}
+}
+
+func (c nowSignal) Now() time.Time {
+	select {
+	case c.called <- struct{}{}:
+	default:
+	}
+	return c.FakeClock.Now()
+}
+
+// TestFireLoopArmsAbsoluteDeadline moves the clock forward between the
+// fire loop reading Now and arming its next wait: the Submit of a fire
+// runs in exactly that window, and here it advances the clock by one
+// cadence step. The next fire is then already due, so it must follow
+// without any further Advance — a wait measured from the moment of
+// arming would postpone it by the whole step.
+func TestFireLoopArmsAbsoluteDeadline(t *testing.T) {
+	clk := nowSignal{NewFakeClock(at("2026-08-08 10:00")), make(chan struct{}, 1)}
+	sub := newFakeSubmitter()
+	stepped := false
+	submit := func(spec enc.JobSpec) (string, error) {
+		if !stepped { // only the fire loop calls Submit
+			stepped = true
+			clk.Advance(time.Hour)
+		}
+		return sub.submit(spec)
+	}
+	s, err := New(Config{Submit: submit, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Stop)
+	// Let the loop take its first, empty pass before the schedule exists,
+	// so Add's wake-up is consumed before the step (a leftover wake-up
+	// would start a fresh pass and mask a late timer).
+	<-clk.called
+	if _, err := s.Add(testSpec("hourly", "@every 1h")); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(time.Hour) // 11:00: the first fire, which steps to 12:00
+	waitFire(t, sub)
+	waitFire(t, sub) // the 12:00 fire, with no Advance after the step
+}
+
 func TestStatePersistsAcrossRestart(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "schedules.json")
 	clk := NewFakeClock(at("2026-08-08 10:00"))

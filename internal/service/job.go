@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"stems/internal/enc"
+	"stems/internal/obs"
 )
 
 // resolvedRun is one run of a job after validation: the normalized
@@ -164,10 +165,11 @@ func (j *Job) notifyLocked() {
 	}
 }
 
-// noteProgress is the replay-loop callback target: it publishes new
-// cumulative access counts to subscribers.
-func (j *Job) noteProgress(done uint64) {
-	j.accessesDone.Store(done)
+// addProgress is the replay-loop callback target: it adds one run's newly
+// replayed accesses and publishes the job total to subscribers. The runs
+// of a job replay concurrently, so the total advances by atomic deltas.
+func (j *Job) addProgress(delta uint64) {
+	j.accessesDone.Add(delta)
 	j.mu.Lock()
 	j.notifyLocked()
 	j.mu.Unlock()
@@ -205,17 +207,19 @@ func (j *Job) noteRunDone(result json.RawMessage, n int, fromCache bool) {
 }
 
 // finish moves the job to a terminal state (idempotent: the first
-// transition wins) and wakes subscribers and Done waiters.
-func (j *Job) finish(state enc.JobState, err error) {
+// transition wins), adds it to the state's counter, and only then wakes
+// subscribers and Done waiters.
+func (j *Job) finish(state enc.JobState, err error, counter *obs.Counter) {
 	j.mu.Lock()
-	j.finishLocked(state, err)
+	j.finishLocked(state, err, counter)
 	j.mu.Unlock()
 }
 
-func (j *Job) finishLocked(state enc.JobState, err error) {
+func (j *Job) finishLocked(state enc.JobState, err error, counter *obs.Counter) {
 	if j.state.Terminal() {
 		return
 	}
+	counter.Add(1)
 	j.state = state
 	if state == enc.JobFailed || state == enc.JobCanceled {
 		j.err = err
@@ -225,17 +229,17 @@ func (j *Job) finishLocked(state enc.JobState, err error) {
 	j.notifyLocked()
 }
 
-// requestCancel cancels the job's context. A queued job is finished
-// immediately (reported true — exactly one caller sees it, so the
-// cancellation counter stays exact under concurrent cancels); a running
-// one is left for its worker to wind down (the replay loop notices within
-// one block).
-func (j *Job) requestCancel(cause error) bool {
+// requestCancel cancels the job's context. A queued job is finished and
+// counted on counter immediately (reported true — exactly one caller sees
+// it, so the count stays exact under concurrent cancels); a running one
+// is left for its worker to wind down (the replay loop notices within one
+// block).
+func (j *Job) requestCancel(cause error, counter *obs.Counter) bool {
 	j.cancel()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == enc.JobQueued {
-		j.finishLocked(enc.JobCanceled, cause)
+		j.finishLocked(enc.JobCanceled, cause, counter)
 		return true
 	}
 	return false

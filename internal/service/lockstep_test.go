@@ -12,10 +12,9 @@ func seedRun(workload string, accesses int, seed int64, label string) enc.RunSpe
 	return enc.RunSpec{Predictor: "stems", Workload: workload, Accesses: accesses, Seed: seed, Label: label}
 }
 
-// TestLockstepSetByteIdentical is the service-side acceptance check for
-// seed-vectorized execution: a job whose runs differ only by seed
-// executes as one lockstep set, and every result must be byte-identical
-// to the same runs submitted as separate jobs against a fresh daemon.
+// TestLockstepSetByteIdentical: a job whose runs differ only by seed
+// computes them concurrently, and every result must be byte-identical to
+// the same runs submitted as separate jobs against a fresh daemon.
 func TestLockstepSetByteIdentical(t *testing.T) {
 	seeds := []int64{1, 7920, 15839}
 
@@ -35,7 +34,7 @@ func TestLockstepSetByteIdentical(t *testing.T) {
 	}
 	ref.Drain()
 
-	// Lockstep: one fresh daemon, one job carrying all seeds.
+	// One fresh daemon, one job carrying all seeds.
 	svc := mustNew(t, Config{Workers: 1, QueueBound: 8})
 	defer svc.Drain()
 	runs := make([]enc.RunSpec, len(seeds))
@@ -48,19 +47,19 @@ func TestLockstepSetByteIdentical(t *testing.T) {
 	}
 	st := waitJob(t, j)
 	if st.State != enc.JobDone {
-		t.Fatalf("lockstep job: state = %s (err %q)", st.State, st.Error)
+		t.Fatalf("multi-run job: state = %s (err %q)", st.State, st.Error)
 	}
 	if len(st.Results) != len(seeds) {
 		t.Fatalf("got %d results, want %d", len(st.Results), len(seeds))
 	}
 	for i := range seeds {
 		if string(st.Results[i]) != want[i] {
-			t.Errorf("seed %d: lockstep result differs from sequential job:\n lockstep:   %s\n sequential: %s",
+			t.Errorf("seed %d: multi-run result differs from single-run job:\n multi-run:  %s\n single-run: %s",
 				seeds[i], st.Results[i], want[i])
 		}
 	}
 	if st.Progress.CacheHits != 0 {
-		t.Errorf("lockstep job reported %d cache hits, want 0 (every seed computed here)", st.Progress.CacheHits)
+		t.Errorf("multi-run job reported %d cache hits, want 0 (every seed computed here)", st.Progress.CacheHits)
 	}
 	if st.Progress.AccessesDone != st.Progress.AccessesTotal {
 		t.Errorf("progress = %d/%d, want complete", st.Progress.AccessesDone, st.Progress.AccessesTotal)
@@ -77,16 +76,16 @@ func TestLockstepSetByteIdentical(t *testing.T) {
 		t.Fatalf("resubmit: state = %s (err %q)", st2.State, st2.Error)
 	}
 	if st2.Progress.CacheHits != 1 {
-		t.Errorf("resubmit of one set member: cache hits = %d, want 1", st2.Progress.CacheHits)
+		t.Errorf("resubmit of one seed: cache hits = %d, want 1", st2.Progress.CacheHits)
 	}
 	if string(st2.Results[0]) != want[1] {
-		t.Errorf("cached set member differs from sequential result")
+		t.Errorf("cached seed differs from single-run result")
 	}
 }
 
-// TestLockstepSetMixedCells checks that grouping stops at cell
-// boundaries: a job interleaving two cells still returns results in
-// submission order, each correct for its spec, with labels applied.
+// TestLockstepSetMixedCells: a job interleaving two cells and a
+// duplicate key still returns results in submission order, each correct
+// for its spec, with labels applied.
 func TestLockstepSetMixedCells(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 1, QueueBound: 8})
 	defer svc.Drain()
@@ -124,12 +123,10 @@ func TestLockstepSetMixedCells(t *testing.T) {
 	}
 }
 
-// TestFusedSetByteIdentical is the service-side acceptance check for
-// trace-fused execution: a job whose runs replay one trace with
-// different predictors and knobs executes as one fused set over a
-// single cursor, and every result must be byte-identical to the same
-// specs submitted as separate jobs against a fresh daemon. The
-// lockstep counters must record the fold.
+// TestFusedSetByteIdentical: a job whose runs replay one trace with
+// different predictors and knobs computes them concurrently over the
+// arena's one resident copy, and every result must be byte-identical to
+// the same specs submitted as separate jobs against a fresh daemon.
 func TestFusedSetByteIdentical(t *testing.T) {
 	specs := []enc.RunSpec{
 		{Predictor: "stride", Workload: "em3d", Accesses: 20_000, Seed: 1},
@@ -154,13 +151,9 @@ func TestFusedSetByteIdentical(t *testing.T) {
 		}
 		want[i] = string(st.Results[0])
 	}
-	refLS := ref.Metrics().Lockstep
-	if refLS.SetsFormed != 0 || refLS.RunsFolded != 0 || refLS.TracesSaved != 0 {
-		t.Errorf("single-run reference jobs recorded lockstep activity: %+v", refLS)
-	}
 	ref.Drain()
 
-	// Fused: one fresh daemon, one job carrying every predictor.
+	// One fresh daemon, one job carrying every predictor.
 	svc := mustNew(t, Config{Workers: 1, QueueBound: 8})
 	defer svc.Drain()
 	j, err := svc.Submit(enc.JobSpec{Runs: specs})
@@ -169,36 +162,26 @@ func TestFusedSetByteIdentical(t *testing.T) {
 	}
 	st := waitJob(t, j)
 	if st.State != enc.JobDone {
-		t.Fatalf("fused job: state = %s (err %q)", st.State, st.Error)
+		t.Fatalf("multi-run job: state = %s (err %q)", st.State, st.Error)
 	}
 	if len(st.Results) != len(specs) {
 		t.Fatalf("got %d results, want %d", len(st.Results), len(specs))
 	}
 	for i := range specs {
 		if string(st.Results[i]) != want[i] {
-			t.Errorf("run %d (%s): fused result differs from sequential job:\n fused:      %s\n sequential: %s",
+			t.Errorf("run %d (%s): multi-run result differs from single-run job:\n multi-run:  %s\n single-run: %s",
 				i, specs[i].Predictor, st.Results[i], want[i])
 		}
 	}
 	if st.Progress.CacheHits != 0 {
-		t.Errorf("fused job reported %d cache hits, want 0", st.Progress.CacheHits)
+		t.Errorf("multi-run job reported %d cache hits, want 0", st.Progress.CacheHits)
 	}
 	if st.Progress.AccessesDone != st.Progress.AccessesTotal {
 		t.Errorf("progress = %d/%d, want complete", st.Progress.AccessesDone, st.Progress.AccessesTotal)
 	}
-	ls := svc.Metrics().Lockstep
-	if ls.SetsFormed != 1 {
-		t.Errorf("lockstep sets formed = %d, want 1", ls.SetsFormed)
-	}
-	if ls.RunsFolded != uint64(len(specs)) {
-		t.Errorf("runs folded = %d, want %d", ls.RunsFolded, len(specs))
-	}
-	if ls.TracesSaved != uint64(len(specs)-1) {
-		t.Errorf("traces saved = %d, want %d", ls.TracesSaved, len(specs)-1)
-	}
 
-	// Each lane's result is individually content-addressed: resubmitting
-	// one member alone must be a pure cache hit, not a new set.
+	// Each run's result is individually content-addressed: resubmitting
+	// one member alone must be a pure cache hit.
 	j2, err := svc.Submit(enc.JobSpec{RunSpec: specs[2]})
 	if err != nil {
 		t.Fatal(err)
@@ -208,19 +191,16 @@ func TestFusedSetByteIdentical(t *testing.T) {
 		t.Fatalf("resubmit: state = %s (err %q)", st2.State, st2.Error)
 	}
 	if st2.Progress.CacheHits != 1 {
-		t.Errorf("resubmit of one fused member: cache hits = %d, want 1", st2.Progress.CacheHits)
+		t.Errorf("resubmit of one member: cache hits = %d, want 1", st2.Progress.CacheHits)
 	}
 	if string(st2.Results[0]) != want[2] {
-		t.Errorf("cached fused member differs from sequential result")
-	}
-	if after := svc.Metrics().Lockstep; after != ls {
-		t.Errorf("cache-hit resubmit changed lockstep counters: %+v -> %+v", ls, after)
+		t.Errorf("cached member differs from single-run result")
 	}
 }
 
-// TestLockstepSetNonAdjacent checks that same-trace and same-cell runs
-// fold even when other work sits between them in the job: results still
-// arrive in submission order with the right labels.
+// TestLockstepSetNonAdjacent: runs sharing a trace or a cell with other
+// work between them in the job still arrive in submission order with the
+// right labels.
 func TestLockstepSetNonAdjacent(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 1, QueueBound: 8})
 	defer svc.Drain()
@@ -250,67 +230,105 @@ func TestLockstepSetNonAdjacent(t *testing.T) {
 			t.Errorf("result %d: label = %q, want %q", i, res.Label, want)
 		}
 	}
-	// Runs 0 and 2 share em3d/seed-1/20k and fold into one fused set
-	// across the intervening DB2 run; run 3 shares only the cell (same
-	// workload and length, different seed) and is too late to join a
-	// seed set once run 0 has executed, so it runs alone.
-	ls := svc.Metrics().Lockstep
-	if ls.SetsFormed != 1 {
-		t.Errorf("lockstep sets formed = %d, want 1 (the non-adjacent fused pair)", ls.SetsFormed)
-	}
-	if ls.RunsFolded != 2 {
-		t.Errorf("runs folded = %d, want 2", ls.RunsFolded)
-	}
-	if ls.TracesSaved != 1 {
-		t.Errorf("traces saved = %d, want 1", ls.TracesSaved)
-	}
 }
 
-// TestTraceGroupScansPastStrangers pins the grouping helpers directly:
-// both traceGroup and cellGroup collect every matching tail member, not
-// just the adjacent prefix.
-func TestTraceGroupScansPastStrangers(t *testing.T) {
-	runs := []resolvedRun{
-		{spec: seedRun("em3d", 20_000, 1, ""), n: 20_000},
-		{spec: enc.RunSpec{Predictor: "stride", Workload: "DB2", Accesses: 20_000, Seed: 1}, n: 20_000},
-		{spec: enc.RunSpec{Predictor: "sms", Workload: "em3d", Accesses: 20_000, Seed: 1}, n: 20_000},
-		{spec: seedRun("em3d", 20_000, 7920, ""), n: 20_000},
-	}
-	g := traceGroup(runs, 0)
-	if len(g) != 2 || g[0] != &runs[0] || g[1] != &runs[2] {
-		t.Errorf("traceGroup(0) folded %d runs, want runs 0 and 2", len(g))
-	}
-	if g := traceGroup(runs, 1); len(g) != 1 {
-		t.Errorf("traceGroup(1) folded %d runs, want the DB2 run alone", len(g))
-	}
-	cg := cellGroup(runs, 0)
-	if len(cg) != 2 || cg[0] != &runs[0] || cg[1] != &runs[3] {
-		t.Errorf("cellGroup(0) folded %d runs, want runs 0 and 3 (same cell, different seed)", len(cg))
-	}
+// watchProgress samples a job's AccessesDone on every change notification
+// until the job ends, then delivers the samples (the last one taken after
+// Done).
+func watchProgress(j *Job) <-chan []uint64 {
+	ch, stop := j.Subscribe()
+	out := make(chan []uint64, 1)
+	go func() {
+		defer stop()
+		var seen []uint64
+		for {
+			select {
+			case <-ch:
+				seen = append(seen, j.Status().Progress.AccessesDone)
+			case <-j.Done():
+				out <- append(seen, j.Status().Progress.AccessesDone)
+				return
+			}
+		}
+	}()
+	return out
 }
 
-// TestSameCell pins the grouping predicate: seed and label differences
-// group, anything else does not.
-func TestSameCell(t *testing.T) {
-	base := seedRun("DB2", 10_000, 1, "x")
-	same := seedRun("DB2", 10_000, 99, "y")
-	if !sameCell(&base, &same) {
-		t.Error("seed+label variation should share a cell")
-	}
-	diffs := []enc.RunSpec{
-		{Predictor: "sms", Workload: "DB2", Accesses: 10_000, Seed: 1},
-		{Predictor: "stems", Workload: "Oracle", Accesses: 10_000, Seed: 1},
-		{Predictor: "stems", Workload: "DB2", Accesses: 20_000, Seed: 1},
-		{Predictor: "stems", Workload: "DB2", Accesses: 10_000, Seed: 1, System: "paper"},
-	}
-	b := base
-	b.System = "scaled"
-	for i := range diffs {
-		if diffs[i].System == "" {
-			diffs[i].System = "scaled"
+// TestConcurrentJobsShareKeys: two multi-run jobs run at once on two
+// workers, each computing its runs concurrently, and the second shares
+// half of the first's keys. Every result must be byte-identical to the
+// same run as a single-run job; each unique key is computed exactly once
+// (whichever job claims it first), every other run is exactly one cache
+// hit; and each job's progress only moves forward, ending at its
+// AccessesTotal.
+func TestConcurrentJobsShareKeys(t *testing.T) {
+	const accesses = 10_000
+	var a, b []enc.RunSpec
+	for _, pred := range []string{"stride", "sms", "tms", "stems"} {
+		for _, seed := range []int64{1, 7920} {
+			a = append(a, enc.RunSpec{Predictor: pred, Workload: "em3d", Accesses: accesses, Seed: seed})
 		}
-		if sameCell(&b, &diffs[i]) {
-			t.Errorf("spec %d should not share a cell with the base", i)
+		b = append(b,
+			enc.RunSpec{Predictor: pred, Workload: "em3d", Accesses: accesses, Seed: 1},
+			enc.RunSpec{Predictor: pred, Workload: "DB2", Accesses: accesses, Seed: 1})
+	}
+	unique := len(a) + len(b)/2
+
+	// Reference bytes: every distinct spec as its own single-run job.
+	ref := mustNew(t, Config{Workers: 1, QueueBound: 32})
+	want := map[string]string{}
+	for _, spec := range append(append([]enc.RunSpec(nil), a...), b...) {
+		js, _ := json.Marshal(spec)
+		if _, ok := want[string(js)]; ok {
+			continue
 		}
+		st := waitJob(t, mustSubmit(t, ref, enc.JobSpec{RunSpec: spec}))
+		if st.State != enc.JobDone {
+			t.Fatalf("reference %s: state = %s (err %q)", js, st.State, st.Error)
+		}
+		want[string(js)] = string(st.Results[0])
+	}
+	ref.Drain()
+	if len(want) != unique {
+		t.Fatalf("%d distinct specs, want %d", len(want), unique)
+	}
+
+	svc := mustNew(t, Config{Workers: 2, QueueBound: 8})
+	defer svc.Drain()
+	jobs := []*Job{ // Submit normalizes its runs in place: hand it copies
+		mustSubmit(t, svc, enc.JobSpec{Runs: append([]enc.RunSpec(nil), a...)}),
+		mustSubmit(t, svc, enc.JobSpec{Runs: append([]enc.RunSpec(nil), b...)}),
+	}
+	progress := []<-chan []uint64{watchProgress(jobs[0]), watchProgress(jobs[1])}
+	hits := 0
+	for n, runs := range [][]enc.RunSpec{a, b} {
+		st := waitJob(t, jobs[n])
+		if st.State != enc.JobDone {
+			t.Fatalf("job %d: state = %s (err %q)", n, st.State, st.Error)
+		}
+		for i, spec := range runs {
+			js, _ := json.Marshal(spec)
+			if string(st.Results[i]) != want[string(js)] {
+				t.Errorf("job %d run %d: result differs from single-run job:\n got:  %s\n want: %s",
+					n, i, st.Results[i], want[string(js)])
+			}
+		}
+		hits += st.Progress.CacheHits
+		seen := <-progress[n]
+		for k := 1; k < len(seen); k++ {
+			if seen[k] < seen[k-1] {
+				t.Errorf("job %d progress moved backwards: %d after %d", n, seen[k], seen[k-1])
+			}
+		}
+		if last := seen[len(seen)-1]; last != st.Progress.AccessesTotal {
+			t.Errorf("job %d progress ended at %d, want %d", n, last, st.Progress.AccessesTotal)
+		}
+	}
+	m := svc.Metrics()
+	if m.RunsComputed != uint64(unique) {
+		t.Errorf("runs computed = %d, want %d (one per unique key)", m.RunsComputed, unique)
+	}
+	if shared := len(a) + len(b) - unique; hits != shared || m.CacheHits != uint64(shared) {
+		t.Errorf("cache hits: jobs %d, service %d, want %d each", hits, m.CacheHits, shared)
 	}
 }

@@ -179,11 +179,6 @@ type Service struct {
 	jobsCanceled  *obs.Counter
 	runsComputed  *obs.Counter
 	accessesSim   *obs.Counter
-
-	// Run-folding observability (see enc.LockstepMetrics).
-	lockstepSets *obs.Counter
-	runsFolded   *obs.Counter
-	tracesSaved  *obs.Counter
 }
 
 type arenaKey struct {
@@ -254,9 +249,6 @@ func (s *Service) register() {
 	s.jobsCanceled = r.Counter("stemsd_jobs_canceled_total", "Jobs finished in state canceled.")
 	s.runsComputed = r.Counter("stemsd_runs_computed_total", "Runs simulated (not served from any cache tier).")
 	s.accessesSim = r.Counter("stemsd_accesses_simulated_total", "Trace accesses replayed across all runs.")
-	s.lockstepSets = r.Counter("stemsd_lockstep_sets_total", "Lockstep sets executed (two or more folded runs).")
-	s.runsFolded = r.Counter("stemsd_runs_folded_total", "Runs folded into lockstep sets.")
-	s.tracesSaved = r.Counter("stemsd_traces_saved_total", "Whole-trace traversals avoided by fused same-trace sets.")
 
 	r.Gauge("stemsd_uptime_seconds", "Seconds since the service started.",
 		func() float64 { return time.Since(s.start).Seconds() })
@@ -494,11 +486,10 @@ func (s *Service) Cancel(id string) error {
 	if err != nil {
 		return err
 	}
-	if j.requestCancel(context.Canceled) {
-		// The job was still queued and this call finished it; a running
-		// job is counted (and its completion hooks run) by its worker when
-		// it winds down.
-		s.jobsCanceled.Add(1)
+	if j.requestCancel(context.Canceled, s.jobsCanceled) {
+		// The job was still queued and this call finished (and counted)
+		// it; a running job is finished, counted, and hooked by its worker
+		// when it winds down.
 		s.fireDone(j)
 	}
 	return nil
@@ -556,11 +547,6 @@ func (s *Service) Metrics() enc.Metrics {
 		TracesResident:    ast.Resident,
 		TraceGenerations:  ast.Generations,
 		TraceHits:         ast.Hits,
-		Lockstep: enc.LockstepMetrics{
-			SetsFormed:  s.lockstepSets.Value(),
-			RunsFolded:  s.runsFolded.Value(),
-			TracesSaved: s.tracesSaved.Value(),
-		},
 	}
 	if total := hits + misses; total > 0 {
 		m.CacheHitRate = float64(hits) / float64(total)
@@ -607,98 +593,138 @@ func (s *Service) Metrics() enc.Metrics {
 	return m
 }
 
-// setResult is one lockstep-set outcome parked until its run slot comes
-// up in job order: the canonical bytes plus whether they came from the
-// cache (for exact hit accounting) or were computed by this job's set.
-type setResult struct {
-	data      []byte
-	fromCache bool
-}
-
-// execute is the worker body: it runs a job's runs in order, consulting
-// the result cache before simulating. Runs that fold are executed as one
-// lockstep MachineSet — one scheduling unit, K predictor states, K
-// individually content-addressed results, byte-identical to running them
-// sequentially. Two shapes fold, members in either needing no adjacency:
-// runs replaying the same (workload, seed, length) trace with any
-// predictors or knobs fuse onto one shared cursor (the sweep-grid shape;
-// each trace is traversed once for the whole group), and runs differing
-// only by seed (and label) advance as a per-lane-cursor seed set. Set
-// results land in computedHere ahead of their run slots and are consumed
-// exactly once, in job order, so the result list the client sees is
-// indistinguishable from sequential execution.
+// execute is the worker body: it produces every run's result, consulting
+// the result cache before simulating, and records them in job order. The
+// runs this job leads compute concurrently up front (see computeLed);
+// every other run is answered at its slot by runOne. The terminal state is
+// counted before it is published, so a client that has seen the job end
+// also sees it in the service counters.
 func (s *Service) execute(j *Job) {
 	if !j.begin() {
-		// Cancelled while queued; requestCancel finished it and Cancel
-		// counted it.
+		// Cancelled while queued; requestCancel finished and counted it.
 		return
 	}
 	s.notePhase(j, enc.PhaseQueue, time.Since(j.created))
 	s.log.Debug("job started", "job", j.ID, "runs", len(j.runs))
-	computedHere := make(map[string]setResult)
+	switch err := s.runJob(j); {
+	case err == nil:
+		j.finish(enc.JobDone, nil, s.jobsCompleted)
+		s.log.Info("job done", "job", j.ID, "runs", len(j.runs),
+			"elapsed", time.Since(j.created))
+	case canceled(err):
+		j.finish(enc.JobCanceled, err, s.jobsCanceled)
+		s.log.Info("job canceled", "job", j.ID)
+	default:
+		j.finish(enc.JobFailed, err, s.jobsFailed)
+		s.log.Warn("job failed", "job", j.ID, "err", err)
+	}
+	s.fireDone(j)
+}
+
+// canceled reports whether err is a context cancellation rather than a
+// run failure.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// runErr attributes a run's failure to its slot in the job; cancellations
+// pass through as they are.
+func runErr(i int, r *resolvedRun, err error) error {
+	if canceled(err) {
+		return err
+	}
+	return fmt.Errorf("run %d (%s/%s): %w", i, r.spec.Predictor, r.spec.Workload, err)
+}
+
+// runJob fills the job's result list in run order.
+func (s *Service) runJob(j *Job) error {
+	early, err := s.computeLed(j)
+	if err != nil {
+		return err
+	}
 	for i := range j.runs {
 		if err := j.ctx.Err(); err != nil {
-			j.finish(enc.JobCanceled, err)
-			s.jobsCanceled.Add(1)
-			s.fireDone(j)
-			return
+			return err
 		}
-		var data []byte
-		var fromCache bool
-		var err error
-		if sr, ok := computedHere[j.runs[i].key]; ok {
-			data, fromCache = sr.data, sr.fromCache
-			delete(computedHere, j.runs[i].key)
-		} else {
-			if g := traceGroup(j.runs, i); len(g) >= 2 {
-				err = s.computeFused(j, g, computedHere)
-			} else if g := cellGroup(j.runs, i); len(g) >= 2 {
-				err = s.computeSet(j, g, computedHere)
-			}
-			if err == nil {
-				if sr, ok := computedHere[j.runs[i].key]; ok {
-					data, fromCache = sr.data, sr.fromCache
-					delete(computedHere, j.runs[i].key)
-				} else {
-					// Not in the cache and led by another job's flight,
-					// or no set formed: the single-run path waits or
-					// computes as before.
-					data, fromCache, err = s.runOne(j, &j.runs[i])
-				}
-			}
-		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				j.finish(enc.JobCanceled, err)
-				s.jobsCanceled.Add(1)
-				s.log.Info("job canceled", "job", j.ID, "runs_done", i)
-			} else {
-				err = fmt.Errorf("run %d (%s/%s): %w",
-					i, j.runs[i].spec.Predictor, j.runs[i].spec.Workload, err)
-				j.finish(enc.JobFailed, err)
-				s.jobsFailed.Add(1)
-				s.log.Warn("job failed", "job", j.ID, "err", err)
-			}
-			s.fireDone(j)
-			return
+		r := &j.runs[i]
+		res, ok := early[r.key]
+		if ok {
+			delete(early, r.key) // a later duplicate of the key is a cache hit
+		} else if res.data, res.fromCache, err = s.runOne(j, r); err != nil {
+			return runErr(i, r, err)
 		}
 		encStart := time.Now()
-		labeled, err := enc.Relabel(data, j.runs[i].spec.Label)
+		labeled, err := enc.Relabel(res.data, r.spec.Label)
 		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
 		if err != nil {
-			j.finish(enc.JobFailed, err)
-			s.jobsFailed.Add(1)
-			s.log.Warn("job failed", "job", j.ID, "err", err)
-			s.fireDone(j)
-			return
+			return err
 		}
-		j.noteRunDone(labeled, j.runs[i].n, fromCache)
+		j.noteRunDone(labeled, r.n, res.fromCache)
 	}
-	j.finish(enc.JobDone, nil)
-	s.jobsCompleted.Add(1)
-	s.log.Info("job done", "job", j.ID, "runs", len(j.runs),
-		"elapsed", time.Since(j.created))
-	s.fireDone(j)
+	return nil
+}
+
+// earlyResult is a run's canonical bytes produced ahead of its slot, and
+// whether they came from the cache (for exact hit accounting).
+type earlyResult struct {
+	data      []byte
+	fromCache bool
+}
+
+// ledRun is a run whose cache key this job won the single-flight claim
+// for: its index in the job and the flight it must resolve.
+type ledRun struct {
+	i  int
+	fl *flight
+}
+
+// computeLed routes each distinct key of the job the way runOne would: a
+// cached result is taken now, a key another flight owns is left for
+// runOne to wait on at its slot, and the keys this job wins the claim for
+// are computed here, concurrently. It returns the results it produced,
+// keyed by content address. Every claimed flight is resolved exactly
+// once, including those of runs never started because another failed or
+// the job was cancelled.
+func (s *Service) computeLed(j *Job) (map[string]earlyResult, error) {
+	early := make(map[string]earlyResult)
+	seen := make(map[string]bool, len(j.runs))
+	var led []ledRun
+	for i := range j.runs {
+		key := j.runs[i].key
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		if data, ok := s.cache.get(key); ok {
+			early[key] = earlyResult{data: data, fromCache: true}
+		} else if fl, leader := s.cache.claim(key); leader {
+			led = append(led, ledRun{i: i, fl: fl})
+		}
+	}
+	started := make([]bool, len(led))
+	out, err := par.Map(j.ctx, len(led), 0, func(ctx context.Context, k int) ([]byte, error) {
+		started[k] = true
+		r := &j.runs[led[k].i]
+		data, err := s.lead(ctx, j, r, led[k].fl)
+		if err != nil {
+			return nil, runErr(led[k].i, r, err)
+		}
+		return data, nil
+	})
+	for k, l := range led {
+		if !started[k] {
+			// par.Map skips a run only once its context is done, and then
+			// reports an error.
+			s.cache.resolve(j.runs[l.i].key, l.fl, nil, err)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for k, l := range led {
+		early[j.runs[l.i].key] = earlyResult{data: out[k]}
+	}
+	return early, nil
 }
 
 // runOne produces the canonical (label-less) result bytes for one run:
@@ -711,10 +737,7 @@ func (s *Service) runOne(j *Job, r *resolvedRun) (data []byte, fromCache bool, e
 		}
 		fl, leader := s.cache.claim(r.key)
 		if leader {
-			data, err = s.compute(j, r)
-			storeStart := time.Now()
-			s.cache.resolve(r.key, fl, data, err)
-			s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
+			data, err = s.lead(j.ctx, j, r, fl)
 			return data, false, err
 		}
 		select {
@@ -732,23 +755,34 @@ func (s *Service) runOne(j *Job, r *resolvedRun) (data []byte, fromCache bool, e
 	}
 }
 
-// compute simulates one run and returns its canonical result bytes.
-func (s *Service) compute(j *Job, r *resolvedRun) ([]byte, error) {
-	base := j.accessesDone.Load()
+// lead computes a run whose flight fl this job leads and resolves the
+// flight with the result bytes, or with the failure.
+func (s *Service) lead(ctx context.Context, j *Job, r *resolvedRun, fl *flight) ([]byte, error) {
+	data, err := s.compute(ctx, j, r)
+	storeStart := time.Now()
+	s.cache.resolve(r.key, fl, data, err)
+	s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
+	return data, err
+}
+
+// compute simulates one run and returns its canonical result bytes. The
+// run's trace is resolved just before it replays, and its progress adds
+// to the job's as it replays.
+func (s *Service) compute(ctx context.Context, j *Job, r *resolvedRun) ([]byte, error) {
 	var prev uint64
 	runner, err := stems.FromSpec(r.spec,
 		stems.WithSharedTrace(s.arena),
 		stems.WithRunProgress(func(done uint64) {
 			s.noteAccesses(done - prev)
+			j.addProgress(done - prev)
 			prev = done
-			j.noteProgress(base + done)
 		}))
 	if err != nil {
 		return nil, err
 	}
 	s.resolveTrace(j, r.spec.Workload, r.spec.Seed, r.n)
 	simStart := time.Now()
-	res, err := runner.Run(j.ctx)
+	res, err := runner.Run(ctx)
 	s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))
 	if err != nil {
 		return nil, err
@@ -758,240 +792,6 @@ func (s *Service) compute(j *Job, r *resolvedRun) ([]byte, error) {
 	data, err := json.Marshal(enc.FromResult("", res))
 	s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
 	return data, err
-}
-
-// sameCell reports whether two normalized run specs name the same
-// (workload, knobs) cell — equal in everything but seed and label, the
-// two fields that never change the predictor configuration. Such runs
-// can replay as one lockstep set.
-func sameCell(a, b *enc.RunSpec) bool {
-	if a.Predictor != b.Predictor || a.Workload != b.Workload ||
-		a.Accesses != b.Accesses || a.System != b.System ||
-		len(a.Knobs) != len(b.Knobs) {
-		return false
-	}
-	for name, v := range a.Knobs {
-		if w, ok := b.Knobs[name]; !ok || v != w {
-			return false
-		}
-	}
-	return true
-}
-
-// sameTrace reports whether two resolved runs replay the same generated
-// trace: equal workload, seed, and resolved length. Predictor, knobs,
-// system, and label are all free to differ — a trace is a pure function
-// of its (workload, seed, length) cell, so machines agreeing on the cell
-// can fold onto one shared cursor.
-func sameTrace(a, b *resolvedRun) bool {
-	return a.spec.Workload == b.spec.Workload &&
-		a.spec.Seed == b.spec.Seed &&
-		a.n == b.n
-}
-
-// traceGroup collects, in job order, every run from position i on that
-// replays runs[i]'s trace. Members need not be adjacent — scanning the
-// whole tail is equivalent to stably sorting the job by trace cell before
-// grouping, and the client-visible result order is unchanged because set
-// results are parked in computedHere and consumed at their own slots.
-func traceGroup(runs []resolvedRun, i int) []*resolvedRun {
-	group := []*resolvedRun{&runs[i]}
-	for k := i + 1; k < len(runs); k++ {
-		if sameTrace(&runs[i], &runs[k]) {
-			group = append(group, &runs[k])
-		}
-	}
-	return group
-}
-
-// cellGroup collects, in job order, every run from position i on that
-// shares runs[i]'s cell — same predictor configuration, any seed: the
-// seed-sweep shape computeSet replays as one per-lane-cursor set. Like
-// traceGroup, members need not be adjacent.
-func cellGroup(runs []resolvedRun, i int) []*resolvedRun {
-	group := []*resolvedRun{&runs[i]}
-	for k := i + 1; k < len(runs); k++ {
-		if sameCell(&runs[i].spec, &runs[k].spec) {
-			group = append(group, &runs[k])
-		}
-	}
-	return group
-}
-
-// lane pairs a run this job won cache leadership for with its in-flight
-// claim; claimLanes routes a set's members exactly as runOne would route
-// them — cached results are fetched, keys another job is already
-// computing are left for runOne's flight wait — and returns only the
-// members that become lanes of the lockstep set.
-type lane struct {
-	run *resolvedRun
-	fl  *flight
-}
-
-func (s *Service) claimLanes(group []*resolvedRun, computedHere map[string]setResult) []lane {
-	var lanes []lane
-	for _, r := range group {
-		if _, ok := computedHere[r.key]; ok {
-			continue // an earlier set already produced it; consumed at its slot
-		}
-		if data, ok := s.cache.get(r.key); ok {
-			computedHere[r.key] = setResult{data: data, fromCache: true}
-			continue
-		}
-		fl, leader := s.cache.claim(r.key)
-		if !leader {
-			// Another job (or an earlier duplicate in this group) is
-			// computing this key; runOne waits on the flight at its slot.
-			continue
-		}
-		lanes = append(lanes, lane{run: r, fl: fl})
-	}
-	return lanes
-}
-
-// noteFold records an executed lockstep set of two or more lanes;
-// tracesSaved counts shared-cursor traversals avoided (0 for seed sets,
-// lanes-1 for fused same-trace sets).
-func (s *Service) noteFold(lanes, tracesSaved int) {
-	if lanes < 2 {
-		return
-	}
-	s.lockstepSets.Add(1)
-	s.runsFolded.Add(uint64(lanes))
-	s.tracesSaved.Add(uint64(tracesSaved))
-}
-
-// computeSet executes a same-cell run group as one lockstep seed set.
-// One Runner.RunSeeds call produces every claimed lane's result in a
-// single pass; each result is resolved into the cache under its own
-// content address (single-flight followers across jobs share it) and
-// parked in computedHere for its run slot. Results are byte-identical to
-// sequential computation: lanes share no mutable state, only the
-// schedule.
-func (s *Service) computeSet(j *Job, group []*resolvedRun, computedHere map[string]setResult) error {
-	lanes := s.claimLanes(group, computedHere)
-	if len(lanes) == 0 {
-		return nil
-	}
-
-	seeds := make([]int64, len(lanes))
-	for i := range lanes {
-		seeds[i] = lanes[i].run.spec.Seed
-		s.resolveTrace(j, lanes[i].run.spec.Workload, lanes[i].run.spec.Seed, lanes[i].run.n)
-	}
-
-	base := j.accessesDone.Load()
-	var prev uint64
-	runner, err := stems.FromSpec(lanes[0].run.spec,
-		stems.WithSharedTrace(s.arena),
-		stems.WithRunProgress(func(done uint64) {
-			// RunSeeds serializes progress invocations, so the delta
-			// arithmetic is race-free even with parallel lanes.
-			s.noteAccesses(done - prev)
-			prev = done
-			j.noteProgress(base + done)
-		}))
-	var results []stems.Result
-	if err == nil {
-		simStart := time.Now()
-		results, err = runner.RunSeeds(j.ctx, seeds...)
-		s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))
-	}
-	if err != nil {
-		// Wake followers; they recompute for themselves (the set's
-		// failure — typically this job's cancellation — says nothing
-		// about their jobs).
-		for _, ln := range lanes {
-			s.cache.resolve(ln.run.key, ln.fl, nil, err)
-		}
-		return err
-	}
-	for i, ln := range lanes {
-		encStart := time.Now()
-		data, mErr := json.Marshal(enc.FromResult("", results[i]))
-		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
-		storeStart := time.Now()
-		s.cache.resolve(ln.run.key, ln.fl, data, mErr)
-		s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
-		if mErr != nil {
-			return mErr
-		}
-		s.runsComputed.Add(1)
-		computedHere[ln.run.key] = setResult{data: data}
-	}
-	s.noteFold(len(lanes), 0)
-	return nil
-}
-
-// computeFused executes a same-trace run group — any mix of predictors,
-// knobs, and systems over one (workload, seed, length) trace — as a
-// single fused lockstep set: the trace is resolved once through the
-// arena, every block is fetched once and stepped through all claimed
-// lanes' machines. Cache routing, single-flight claims, result parking,
-// and byte-identity to sequential computation all work exactly as in
-// computeSet; what this shape additionally saves is lanes-1 whole trace
-// traversals per set.
-func (s *Service) computeFused(j *Job, group []*resolvedRun, computedHere map[string]setResult) error {
-	lanes := s.claimLanes(group, computedHere)
-	if len(lanes) == 0 {
-		return nil
-	}
-
-	s.resolveTrace(j, lanes[0].run.spec.Workload, lanes[0].run.spec.Seed, lanes[0].run.n)
-
-	base := j.accessesDone.Load()
-	var prev uint64
-	k := uint64(len(lanes))
-	runners := make([]*stems.Runner, len(lanes))
-	for i := range lanes {
-		extra := []stems.Option{stems.WithSharedTrace(s.arena)}
-		if i == 0 {
-			// One lane observes progress for the whole set: lanes advance
-			// in lockstep over one cursor, so the set total is the lane
-			// count times any lane's cumulative count. FuseSweep serializes
-			// the callback, keeping the delta arithmetic race-free.
-			extra = append(extra, stems.WithRunProgress(func(done uint64) {
-				s.noteAccesses((done - prev) * k)
-				prev = done
-				j.noteProgress(base + done*k)
-			}))
-		}
-		runner, err := stems.FromSpec(lanes[i].run.spec, extra...)
-		if err != nil {
-			for _, ln := range lanes {
-				s.cache.resolve(ln.run.key, ln.fl, nil, err)
-			}
-			return err
-		}
-		runners[i] = runner
-	}
-	simStart := time.Now()
-	results, err := stems.FuseSweep(j.ctx, runners)
-	s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))
-	if err != nil {
-		// Wake followers; they recompute for themselves (the set's
-		// failure — typically this job's cancellation — says nothing
-		// about their jobs).
-		for _, ln := range lanes {
-			s.cache.resolve(ln.run.key, ln.fl, nil, err)
-		}
-		return err
-	}
-	for i, ln := range lanes {
-		encStart := time.Now()
-		data, mErr := json.Marshal(enc.FromResult("", results[i]))
-		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
-		storeStart := time.Now()
-		s.cache.resolve(ln.run.key, ln.fl, data, mErr)
-		s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
-		if mErr != nil {
-			return mErr
-		}
-		s.runsComputed.Add(1)
-		computedHere[ln.run.key] = setResult{data: data}
-	}
-	s.noteFold(len(lanes), len(lanes)-1)
-	return nil
 }
 
 // noteArenaUse bumps a trace key to the front of the arena LRU, dropping

@@ -197,6 +197,55 @@ func (s *sourceBlocks) Len() int {
 	return -1
 }
 
+// LimitBlocks truncates a block stream after n accesses. Whole blocks pass
+// through untouched; the block that crosses the limit is shortened in
+// place of being repacked. Its columns are only re-sliced, never written —
+// they may alias a BlockTrace or a Reader frame — except the flag bitsets,
+// which are copied so the bits past the limit read as clear (HasWrites
+// scans whole words).
+func LimitBlocks(bs BlockSource, n int) BlockSource {
+	return &limitBlocks{bs: bs, left: n}
+}
+
+type limitBlocks struct {
+	bs   BlockSource
+	left int
+}
+
+// NextBlock implements BlockSource.
+func (l *limitBlocks) NextBlock(b *Block) bool {
+	if l.left <= 0 || !l.bs.NextBlock(b) {
+		return false
+	}
+	if b.N > l.left {
+		b.truncate(l.left)
+	}
+	l.left -= b.N
+	return true
+}
+
+// truncate shortens b to its first n accesses without writing into its
+// column storage: the fixed-width columns are re-sliced, and the flag
+// bitsets are replaced by masked copies. The result aliases storage b does
+// not own, so it is marked shared and detached by the next Reset.
+func (b *Block) truncate(n int) {
+	w := bitWords(n)
+	b.WriteBits = maskedWords(b.WriteBits[:w], n)
+	b.DepBits = maskedWords(b.DepBits[:w], n)
+	b.Addrs, b.PCIdx, b.Think = b.Addrs[:n], b.PCIdx[:n], b.Think[:n]
+	b.N = n
+	b.shared = true
+}
+
+// maskedWords copies a bitset of n valid bits with the bits past n cleared.
+func maskedWords(words []uint64, n int) []uint64 {
+	out := append([]uint64(nil), words...)
+	if r := n & 63; r != 0 {
+		out[len(out)-1] &= 1<<uint(r) - 1
+	}
+	return out
+}
+
 // Unblock adapts a BlockSource back to a per-access Source — the lossless
 // inverse of Blocks, used to feed block-native producers (v2 trace files,
 // arena-cached BlockTraces) into per-access consumers. A length hint on

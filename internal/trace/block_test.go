@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -266,5 +267,63 @@ func TestLimitLenHint(t *testing.T) {
 	}
 	if got := NewLimit(FuncSource(func(*Access) bool { return false }), 7).Len(); got != 7 {
 		t.Fatalf("Limit(7) over unhinted source hints %d, want 7", got)
+	}
+}
+
+// TestLimitBlocksMatchesPerAccessLimit pins the block-native limiter
+// against the per-access Limit at limits that cut a block mid-word, over
+// both block producers that hand out aliased storage: a BlockTrace cursor
+// and a v2 trace reader. The crossing block holds stores only past the
+// limit, so a limiter that kept the stale flag bits would report writes
+// the truncated block does not have; the source's storage must come out
+// untouched.
+func TestLimitBlocksMatchesPerAccessLimit(t *testing.T) {
+	in := randomAccesses(21, 2*BlockCap+500)
+	for _, limit := range []int{BlockCap + 100, BlockCap + 128, 2 * BlockCap, len(in) + 1} {
+		accs := append([]Access(nil), in...)
+		for i := BlockCap; i < 2*BlockCap; i++ {
+			accs[i].Write = i >= limit
+		}
+		want := Collect(NewLimit(NewSliceSource(accs), limit), 0)
+
+		bt := NewBlockTrace(accs)
+		r := NewReader(bytes.NewReader(writeTrace(t, accs, traceV2)))
+		for name, bs := range map[string]BlockSource{"blocktrace": bt.Blocks(), "v2": r} {
+			var got []Access
+			var b Block
+			lim := LimitBlocks(bs, limit)
+			for lim.NextBlock(&b) {
+				writes := false
+				for i := 0; i < b.N; i++ {
+					a := b.At(i)
+					writes = writes || a.Write
+					got = append(got, a)
+				}
+				if b.HasWrites() != writes {
+					t.Fatalf("limit %d, %s: HasWrites = %v over a block whose accesses say %v", limit, name, b.HasWrites(), writes)
+				}
+				for _, bits := range [][]uint64{b.WriteBits, b.DepBits} {
+					if len(bits) != bitWords(b.N) || (b.N&63 != 0 && bits[len(bits)-1]>>uint(b.N&63) != 0) {
+						t.Fatalf("limit %d, %s: flag bits past N=%d not cleared", limit, name, b.N)
+					}
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("limit %d, %s: %d accesses, want %d", limit, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("limit %d, %s: access %d = %+v, want %+v", limit, name, i, got[i], want[i])
+				}
+			}
+		}
+		for i, a := range bt.Accesses() {
+			if a != accs[i] {
+				t.Fatalf("limit %d: truncation wrote into the BlockTrace at access %d", limit, i)
+			}
+		}
+		if limit < 2*BlockCap && r.cur.N == BlockCap && !r.cur.HasWrites() {
+			t.Fatalf("limit %d: truncation cleared the reader's frame", limit)
+		}
 	}
 }

@@ -211,9 +211,9 @@ const SeedStride = 7919
 // WithSeeds configures a K-seed set for RunSeeds: the seeds
 // base, base+SeedStride, ..., base+(k-1)*SeedStride — Figure 10's
 // confidence-interval progression. Run still replays only the base seed;
-// RunSeeds replays all K as one lockstep set. Like WithSeed, base must be
-// positive; k must be at least 1. Seed sets name workload traces, so
-// RunSeeds with k > 1 requires a workload source.
+// RunSeeds replays all K. Like WithSeed, base must be positive; k must be
+// at least 1. Seed sets name workload traces, so RunSeeds with k > 1
+// requires a workload source.
 func WithSeeds(base int64, k int) Option {
 	return func(r *Runner) {
 		if k < 1 {
@@ -460,12 +460,7 @@ func (r *Runner) Label() string {
 // stream — the pipeline's native currency. Workload and file sources are
 // produced (or cached) directly in columnar form; slice and custom
 // per-access sources go through the lossless Blocks adapter.
-func (r *Runner) source() (BlockSource, error) { return r.sourceAt(r.seed) }
-
-// sourceAt is source with an explicit workload seed — the per-lane trace
-// hook RunSeeds uses. Non-workload sources ignore the seed (they are not
-// seed-addressable; RunSeeds rejects multi-seed sets over them).
-func (r *Runner) sourceAt(seed int64) (BlockSource, error) {
+func (r *Runner) source() (BlockSource, error) {
 	switch {
 	case r.specSet:
 		n := r.spec.DefaultAccesses
@@ -473,12 +468,12 @@ func (r *Runner) sourceAt(seed int64) (BlockSource, error) {
 			n = r.accesses
 		}
 		if r.arena != nil {
-			bt := r.arena.Get(r.spec.Name, seed, n, func() []Access {
-				return r.spec.Generate(seed, n)
+			bt := r.arena.Get(r.spec.Name, r.seed, n, func() []Access {
+				return r.spec.Generate(r.seed, n)
 			})
 			return bt.Blocks(), nil
 		}
-		return r.spec.GenerateBlocks(seed, n).Blocks(), nil
+		return r.spec.GenerateBlocks(r.seed, n).Blocks(), nil
 	case r.traceFile != "":
 		bt, err := ReadTraceFileBlocks(r.traceFile, r.accesses)
 		if err != nil {
@@ -503,7 +498,7 @@ func (r *Runner) sourceAt(seed int64) (BlockSource, error) {
 			return nil, fmt.Errorf("stems: WithBlockSourceFunc returned a nil BlockSource")
 		}
 		if r.accesses > 0 {
-			return trace.Blocks(trace.NewLimit(trace.Unblock(bs), r.accesses)), nil
+			return trace.LimitBlocks(bs, r.accesses), nil
 		}
 		return bs, nil
 	default:
@@ -518,39 +513,6 @@ func (r *Runner) sourceAt(seed int64) (BlockSource, error) {
 	}
 }
 
-// traceCell names one resolved generated trace: the (workload, seed,
-// length) triple that fully determines a suite workload's access stream.
-// Runners agreeing on the cell replay byte-identical streams, which is
-// what licenses fusing them onto one shared block cursor.
-type traceCell struct {
-	workload string
-	seed     int64
-	accesses int
-}
-
-// fuseCell reports the Runner's resolved trace cell and whether the run
-// is fuse-eligible. Only named suite workloads qualify: their traces are
-// pure functions of the cell, so matching cells guarantee matching
-// streams. File, slice, custom-source, and WithWorkloadSpec runs are not
-// cell-addressable (two process-local specs could share a name yet
-// generate different streams) and always replay their own cursor.
-func (r *Runner) fuseCell() (traceCell, bool) {
-	if !r.specSet || !r.suiteWorkload {
-		return traceCell{}, false
-	}
-	n := r.spec.DefaultAccesses
-	if r.accesses > 0 {
-		n = r.accesses
-	}
-	return traceCell{workload: r.spec.Name, seed: r.seed, accesses: n}, true
-}
-
-// buildMachine constructs the fresh simulation machine one run of this
-// Runner drives.
-func (r *Runner) buildMachine() (*sim.Machine, error) {
-	return sim.Build(sim.Kind(r.predictor), r.opt)
-}
-
 // Run builds a fresh machine, replays the configured access stream through
 // the batched block kernel, and returns the result. The context cancels a
 // run in flight (checked once per block, i.e. every few thousand
@@ -563,7 +525,7 @@ func (r *Runner) Run(ctx context.Context) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m, err := r.buildMachine()
+	m, err := sim.Build(sim.Kind(r.predictor), r.opt)
 	if err != nil {
 		return Result{}, err
 	}
@@ -600,25 +562,19 @@ func (r *Runner) Seeds() []int64 {
 	return out
 }
 
-// RunSeeds replays one run per seed as a single lockstep set — K fresh
-// machines of this Runner's configuration advancing together, one result
-// per seed in seed order. An explicit seed list overrides the configured
-// WithSeeds progression; with neither, RunSeeds degenerates to one run of
-// the configured seed.
+// RunSeeds replays one run per seed — K copies of this Runner's
+// configuration, each an ordinary Run over its seed's trace, executed as
+// a Sweep — and returns one result per seed in seed order. An explicit
+// seed list overrides the configured WithSeeds progression; with
+// neither, RunSeeds degenerates to one run of the configured seed.
 //
-// Results are byte-identical to calling Run once per seed sequentially:
-// the lanes share no mutable state, only the scheduling. What a set buys
-// is the batch shape — one job instead of K, traces resident only while
-// their lane replays, cross-lane cache locality when lanes alias one
-// trace, and (on multi-core hosts) the lanes advancing in parallel.
+// Results are byte-identical to calling Run once per seed sequentially;
+// on multi-core hosts the seeds replay in parallel (GOMAXPROCS wide).
 //
 // A configured WithRunProgress callback receives the cumulative number of
 // accesses replayed across the whole set; invocations are serialized and
-// monotonic even when lanes run in parallel.
+// monotonic even when seeds run in parallel.
 func (r *Runner) RunSeeds(ctx context.Context, seeds ...int64) ([]Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	list := seeds
 	if len(list) == 0 {
 		list = r.Seeds()
@@ -631,33 +587,25 @@ func (r *Runner) RunSeeds(ctx context.Context, seeds ...int64) ([]Result, error)
 	if len(list) > 1 && !r.specSet {
 		return nil, fmt.Errorf("stems: multi-seed sets need a workload source (seeds name generated traces; this Runner replays a file, slice, or custom source)")
 	}
-	lanes := make([]sim.Lane, len(list))
+	// Each copy reports its own cumulative count; fold them into one
+	// serialized set total.
+	var mu sync.Mutex
+	var total uint64
+	grid := make([]*Runner, len(list))
 	for i, seed := range list {
-		bs, err := r.sourceAt(seed)
-		if err != nil {
-			return nil, err
-		}
-		m, err := sim.Build(sim.Kind(r.predictor), r.opt)
-		if err != nil {
-			return nil, err
-		}
-		lanes[i] = sim.Lane{Machine: m, Source: bs}
-	}
-	set := sim.NewMachineSet(lanes...)
-	if fn := r.progress; fn != nil {
-		// Serialize and de-race the callback: parallel lanes may observe
-		// cumulative counts out of order, and WithRunProgress promises a
-		// monotonic stream.
-		var mu sync.Mutex
-		var last uint64
-		set.Progress = func(done uint64) {
-			mu.Lock()
-			if done > last {
-				last = done
-				fn(done)
+		c := *r
+		c.seed = seed
+		if fn := r.progress; fn != nil {
+			var prev uint64
+			c.progress = func(done uint64) {
+				mu.Lock()
+				total += done - prev
+				prev = done
+				fn(total)
+				mu.Unlock()
 			}
-			mu.Unlock()
 		}
+		grid[i] = &c
 	}
-	return set.Run(ctx)
+	return Sweep(ctx, grid)
 }

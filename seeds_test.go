@@ -1,9 +1,7 @@
-// Lockstep seed-set equivalence at the public API: for every registered
-// predictor and every workload of the paper's suite, Runner.RunSeeds must
-// return, seed for seed, exactly the Results of sequential Runner.Run
-// calls at those seeds. This is the contract that lets Figure 10 and the
-// stemsd service vectorize seed sweeps without perturbing a single figure
-// byte.
+// Seed-set equivalence at the public API: for every registered predictor
+// and every workload of the paper's suite, Runner.RunSeeds must return,
+// seed for seed, exactly the Results of sequential Runner.Run calls at
+// those seeds.
 package stems_test
 
 import (
@@ -53,7 +51,7 @@ func TestRunSeedsMatchesSequentialRuns(t *testing.T) {
 			}
 			for i := range seeds {
 				if got[i] != want[i] {
-					t.Errorf("%s/%s seed %d: lockstep diverged from sequential Run\n got: %+v\nwant: %+v",
+					t.Errorf("%s/%s seed %d: seed set diverged from sequential Run\n got: %+v\nwant: %+v",
 						workload, predictor, seeds[i], got[i], want[i])
 				}
 			}
@@ -62,10 +60,15 @@ func TestRunSeedsMatchesSequentialRuns(t *testing.T) {
 }
 
 // TestRunSeedsExplicitList checks that a caller-supplied seed list
-// overrides the configured progression and preserves list order.
+// overrides the configured progression and preserves list order, and
+// that WithRunProgress sees one serialized, increasing count over the
+// whole set (the callback appends without a lock, so -race catches an
+// unserialized call).
 func TestRunSeedsExplicitList(t *testing.T) {
 	const accesses = 8_000
-	r, err := stems.New(stems.WithWorkload("em3d"), stems.WithAccesses(accesses))
+	var progress []uint64
+	r, err := stems.New(stems.WithWorkload("em3d"), stems.WithAccesses(accesses),
+		stems.WithRunProgress(func(done uint64) { progress = append(progress, done) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +76,14 @@ func TestRunSeedsExplicitList(t *testing.T) {
 	got, err := r.RunSeeds(context.Background(), seeds...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for k := 1; k < len(progress); k++ {
+		if progress[k] <= progress[k-1] {
+			t.Fatalf("set progress not increasing: %d after %d", progress[k], progress[k-1])
+		}
+	}
+	if len(progress) == 0 || progress[len(progress)-1] != uint64(len(seeds)*accesses) {
+		t.Fatalf("set progress ended at %v, want %d", progress, len(seeds)*accesses)
 	}
 	for i, seed := range seeds {
 		solo, err := stems.New(

@@ -281,19 +281,17 @@ func ReadTraceFileBlocks(path string, max int) (*BlockTrace, error) {
 	}
 	defer f.Close()
 	r := trace.NewReader(f)
+	var bs BlockSource = r
+	if max > 0 {
+		bs = trace.LimitBlocks(r, max)
+	}
+	// Consume frame-at-a-time: on a v2 trace each decoded frame (the last
+	// one truncated at max) lands as one column copy, no per-access
+	// repacking.
 	bt := &trace.BlockTrace{}
-	if max <= 0 {
-		// Whole file: consume frame-at-a-time. On a v2 trace each decoded
-		// frame lands as one column copy, no per-access repacking.
-		var b Block
-		for r.NextBlock(&b) {
-			bt.AppendBlock(&b)
-		}
-	} else {
-		var a Access
-		for bt.Len() < max && r.Next(&a) {
-			bt.Append(a)
-		}
+	var b Block
+	for bs.NextBlock(&b) {
+		bt.AppendBlock(&b)
 	}
 	bt.Seal()
 	if r.Err() != nil {

@@ -3,11 +3,9 @@ package stems
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"stems/internal/par"
-	"stems/internal/sim"
 )
 
 // Progress observes sweep completion: completed runs so far, the grid
@@ -20,7 +18,6 @@ type sweepConfig struct {
 	parallelism int
 	progress    Progress
 	runResult   func(index int, res Result)
-	noFuse      bool
 }
 
 // SweepOption configures Sweep's execution (not the runs themselves —
@@ -30,9 +27,6 @@ type SweepOption func(*sweepConfig)
 // WithParallelism bounds the worker goroutines (default GOMAXPROCS).
 // Parallelism 1 executes the work serially; because every run is
 // deterministic and isolated, any parallelism produces identical results.
-// When the grid fuses into trace groups (see WithFusion), the budget
-// covers both levels: groups run on the pool, and the leftover width
-// becomes lane workers inside each fused set.
 func WithParallelism(n int) SweepOption {
 	return func(c *sweepConfig) { c.parallelism = n }
 }
@@ -46,31 +40,17 @@ func WithProgress(fn Progress) SweepOption {
 // fn(i, res) fires as grid[i]'s result lands, serialized. Unlike waiting
 // on Sweep's return, a consumer can stream results as they land
 // (cmd/sweep -json flushes NDJSON records this way); unlike Progress, the
-// grid index makes the run unambiguous when labels collide. Runs fused
-// onto one shared cursor finish together: their callbacks fire
-// back-to-back, in grid order, when their set completes.
+// grid index makes the run unambiguous when labels collide.
 func WithRunResult(fn func(index int, res Result)) SweepOption {
 	return func(c *sweepConfig) { c.runResult = fn }
-}
-
-// WithFusion toggles trace-fused execution (default enabled). Fused
-// sweeps partition the grid by resolved trace cell — the (workload, seed,
-// length) triple — and execute each group of same-cell runs as one
-// lockstep set over a single shared block cursor, so an N-point predictor
-// or knob panel traverses its trace once instead of N times. Results are
-// byte-identical either way; only the scheduling (and the latency profile
-// of the streaming callbacks) differs. WithFusion(false) restores strict
-// one-cursor-per-run execution.
-func WithFusion(enabled bool) SweepOption {
-	return func(c *sweepConfig) { c.noFuse = !enabled }
 }
 
 // Sweep executes a grid of configured Runners across a worker pool and
 // returns their Results in grid order — result i belongs to grid[i]
 // regardless of scheduling, so sweeps are reproducible under any
-// parallelism. Runs that replay the same resolved trace are fused into
-// one lockstep pass over a shared cursor (see WithFusion); everything
-// else runs on its own cursor as before. A failing run cancels the
+// parallelism. Every run is an ordinary Run: a fresh machine replaying
+// its own cursor; hand the grid one arena (WithSharedTrace) and runs over
+// the same trace replay one resident copy. A failing run cancels the
 // remaining work and its error is returned (runs cancelled as collateral
 // never mask it); cancelling ctx stops runs in flight.
 func Sweep(ctx context.Context, grid []*Runner, opts ...SweepOption) ([]Result, error) {
@@ -84,230 +64,28 @@ func Sweep(ctx context.Context, grid []*Runner, opts ...SweepOption) ([]Result, 
 		}
 	}
 
-	groups := fuseGroups(grid, cfg.noFuse)
-	lanes := fusedLaneParallelism(cfg.parallelism, len(groups))
-
 	var mu sync.Mutex
 	completed := 0
-	deliver := func(i int, res Result) { // callers hold mu
-		completed++
-		if cfg.progress != nil {
-			cfg.progress(completed, len(grid), grid[i].Label(), res)
-		}
-		if cfg.runResult != nil {
-			cfg.runResult(i, res)
-		}
-	}
-	haveCallbacks := cfg.progress != nil || cfg.runResult != nil
-
-	grouped, err := par.Map(ctx, len(groups), cfg.parallelism, func(ctx context.Context, g int) ([]Result, error) {
-		idxs := groups[g]
-		if len(idxs) == 1 {
-			i := idxs[0]
-			res, err := grid[i].Run(ctx)
-			if err != nil {
-				return nil, fmt.Errorf("stems: sweep run %d (%s): %w", i, grid[i].Label(), err)
-			}
-			if haveCallbacks {
-				mu.Lock()
-				deliver(i, res)
-				mu.Unlock()
-			}
-			return []Result{res}, nil
-		}
-		results, err := runFused(ctx, grid, idxs, lanes)
+	results, err := par.Map(ctx, len(grid), cfg.parallelism, func(ctx context.Context, i int) (Result, error) {
+		res, err := grid[i].Run(ctx)
 		if err != nil {
-			return nil, err
+			return Result{}, fmt.Errorf("stems: sweep run %d (%s): %w", i, grid[i].Label(), err)
 		}
-		if haveCallbacks {
+		if cfg.progress != nil || cfg.runResult != nil {
 			mu.Lock()
-			for k, i := range idxs {
-				deliver(i, results[k])
+			completed++
+			if cfg.progress != nil {
+				cfg.progress(completed, len(grid), grid[i].Label(), res)
+			}
+			if cfg.runResult != nil {
+				cfg.runResult(i, res)
 			}
 			mu.Unlock()
 		}
-		return results, nil
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Result, len(grid))
-	for g, idxs := range groups {
-		for k, i := range idxs {
-			out[i] = grouped[g][k]
-		}
-	}
-	return out, nil
-}
-
-// FuseSweep executes a grid of Runners that all replay one trace as a
-// single lockstep set: every member's resolved trace cell — the
-// (workload, seed, length) triple — must match, the shared cursor is
-// drained once, and each fetched block is stepped through all machines
-// while its columns are hot in cache. Results return in grid order,
-// byte-identical to running each member alone (the machines share no
-// mutable state and blocks are read-only, so only the scheduling
-// differs).
-//
-// This is the strict fusion primitive under Sweep: Sweep partitions an
-// arbitrary grid into trace cells and runs each group through the same
-// machinery, so reach for FuseSweep directly when the grid is one cell by
-// construction (a predictor or knob panel over one workload) and a
-// mismatch should be an error rather than a silent partition. Every
-// member must be fuse-eligible — replaying a named suite workload; file,
-// slice, custom-source, and WithWorkloadSpec runs have no resolvable
-// trace cell and are rejected.
-//
-// WithParallelism bounds the lane workers stepping each block (default
-// GOMAXPROCS). WithProgress and WithRunResult fire per member, in grid
-// order, when the set finishes; a member's own WithRunProgress callback
-// receives that lane's cumulative access count, serialized and monotonic.
-func FuseSweep(ctx context.Context, grid []*Runner, opts ...SweepOption) ([]Result, error) {
-	cfg := sweepConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	for i, r := range grid {
-		if r == nil {
-			return nil, fmt.Errorf("stems: FuseSweep grid[%d] is nil", i)
-		}
-	}
-	if len(grid) == 0 {
-		return []Result{}, nil
-	}
-	cells := make([]traceCell, len(grid))
-	for i, r := range grid {
-		cell, ok := r.fuseCell()
-		if !ok {
-			return nil, fmt.Errorf("stems: FuseSweep grid[%d] (%s) is not fuse-eligible: fused sets replay named suite workloads (file, slice, custom-source, and WithWorkloadSpec runs have no resolvable trace cell)", i, grid[i].Label())
-		}
-		cells[i] = cell
-	}
-	for i := 1; i < len(grid); i++ {
-		if cells[i] != cells[0] {
-			return nil, fmt.Errorf("stems: FuseSweep grid[%d] (%s) replays %s/seed=%d/%d accesses but grid[0] (%s) replays %s/seed=%d/%d: fused sets share one trace cell (use Sweep to partition a mixed grid)",
-				i, grid[i].Label(), cells[i].workload, cells[i].seed, cells[i].accesses,
-				grid[0].Label(), cells[0].workload, cells[0].seed, cells[0].accesses)
-		}
-	}
-	idxs := make([]int, len(grid))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	results, err := runFused(ctx, grid, idxs, cfg.parallelism)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		if cfg.progress != nil {
-			cfg.progress(i+1, len(grid), grid[i].Label(), res)
-		}
-		if cfg.runResult != nil {
-			cfg.runResult(i, res)
-		}
-	}
 	return results, nil
-}
-
-// fuseGroups partitions the grid into trace-cell groups: runs resolving
-// to the same generated trace fold into one fused lockstep set, everyone
-// else stays a singleton. Groups appear in first-member grid order and
-// members keep grid order, so delivery stays deterministic. Same-cell
-// runs need not be adjacent in the grid.
-func fuseGroups(grid []*Runner, noFuse bool) [][]int {
-	groups := make([][]int, 0, len(grid))
-	if noFuse {
-		for i := range grid {
-			groups = append(groups, []int{i})
-		}
-		return groups
-	}
-	at := make(map[traceCell]int, len(grid))
-	for i, r := range grid {
-		cell, ok := r.fuseCell()
-		if !ok {
-			groups = append(groups, []int{i})
-			continue
-		}
-		if g, seen := at[cell]; seen {
-			groups[g] = append(groups[g], i)
-			continue
-		}
-		at[cell] = len(groups)
-		groups = append(groups, []int{i})
-	}
-	return groups
-}
-
-// fusedLaneParallelism splits the worker budget between the group pool
-// and the lanes inside each fused set: one group gets the whole budget as
-// lane workers; many groups split it, never below serial lanes. The
-// split keeps total goroutine pressure near the configured bound without
-// starving a lone fused panel of its lane parallelism.
-func fusedLaneParallelism(parallelism, groups int) int {
-	p := parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if groups > 1 {
-		p /= groups
-	}
-	if p < 1 {
-		p = 1
-	}
-	return p
-}
-
-// runFused executes grid members idxs — all resolving to one trace cell —
-// as a single lockstep set over one shared cursor. The leader (first
-// member) materializes the cursor, through its arena when it has one.
-// Results return in idxs order; build and source errors are attributed to
-// the offending member's grid index in Sweep's wrap format.
-func runFused(ctx context.Context, grid []*Runner, idxs []int, laneParallelism int) ([]Result, error) {
-	leader := grid[idxs[0]]
-	bs, err := leader.source()
-	if err != nil {
-		return nil, fmt.Errorf("stems: sweep run %d (%s): %w", idxs[0], leader.Label(), err)
-	}
-	machines := make([]*sim.Machine, len(idxs))
-	for k, i := range idxs {
-		m, err := grid[i].buildMachine()
-		if err != nil {
-			return nil, fmt.Errorf("stems: sweep run %d (%s): %w", i, grid[i].Label(), err)
-		}
-		machines[k] = m
-	}
-	set := sim.NewSharedSet(bs, machines...)
-	set.Parallelism = laneParallelism
-	if fns := laneProgress(grid, idxs); fns != nil {
-		k := uint64(len(idxs))
-		set.Progress = func(total uint64) {
-			// Lanes advance in lockstep over one cursor and the set reports
-			// after the per-block barrier, so each lane's own cumulative
-			// count is exactly the set total divided by the lane count. The
-			// set serializes reports, preserving WithRunProgress's
-			// monotonic-stream contract per member.
-			per := total / k
-			for _, fn := range fns {
-				fn(per)
-			}
-		}
-	}
-	results, err := set.Run(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("stems: sweep run %d (%s): %w", idxs[0], leader.Label(), err)
-	}
-	return results, nil
-}
-
-// laneProgress collects the configured WithRunProgress callbacks of the
-// fused members, or nil when no member has one.
-func laneProgress(grid []*Runner, idxs []int) []func(uint64) {
-	var fns []func(uint64)
-	for _, i := range idxs {
-		if fn := grid[i].progress; fn != nil {
-			fns = append(fns, fn)
-		}
-	}
-	return fns
 }

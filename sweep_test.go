@@ -84,10 +84,23 @@ func TestSweepProgress(t *testing.T) {
 }
 
 // TestSweepRunResult: the per-index callback fires exactly once per
-// grid slot with the result Sweep later returns for that slot.
+// grid slot with the result Sweep later returns for that slot, and each
+// run's own WithRunProgress receives a monotonic access count that ends
+// at exactly that run's trace length.
 func TestSweepRunResult(t *testing.T) {
-	grid := sweepGrid(t)
+	const accesses = 10_000
 	var mu sync.Mutex
+	var grid []*stems.Runner
+	runProgress := make([][]uint64, 3)
+	for i, pf := range []string{"stride", "sms", "stems"} {
+		grid = append(grid, sweepPoint(t, pf,
+			stems.WithAccesses(accesses),
+			stems.WithRunProgress(func(done uint64) {
+				mu.Lock()
+				runProgress[i] = append(runProgress[i], done)
+				mu.Unlock()
+			})))
+	}
 	byIndex := make(map[int]stems.Result)
 	results, err := stems.Sweep(context.Background(), grid,
 		stems.WithParallelism(4),
@@ -108,6 +121,71 @@ func TestSweepRunResult(t *testing.T) {
 	for i, res := range results {
 		if byIndex[i] != res {
 			t.Errorf("grid[%d]: callback result differs from returned result", i)
+		}
+	}
+	for i, obs := range runProgress {
+		if len(obs) == 0 {
+			t.Fatalf("grid[%d] saw no progress", i)
+		}
+		for k := 1; k < len(obs); k++ {
+			if obs[k] <= obs[k-1] {
+				t.Errorf("grid[%d] progress not monotonic: %d after %d", i, obs[k], obs[k-1])
+			}
+		}
+		if final := obs[len(obs)-1]; final != accesses {
+			t.Errorf("grid[%d] final progress = %d, want %d", i, final, accesses)
+		}
+	}
+}
+
+// sweepPoint builds one grid point over the DB2/seed-1/8k-access trace;
+// extra options layer predictor knobs, lengths, or callbacks on top.
+func sweepPoint(t *testing.T, predictor string, extra ...stems.Option) *stems.Runner {
+	t.Helper()
+	opts := append([]stems.Option{
+		stems.WithWorkload("DB2"),
+		stems.WithPredictor(predictor),
+		stems.WithAccesses(8_000),
+		stems.WithSystem(stems.ScaledSystem()),
+	}, extra...)
+	r, err := stems.New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestSweepEveryPredictorPair runs every pair of registered predictors
+// over one trace through Sweep and requires each run to match its solo
+// Run exactly, serial and parallel. Under -race it additionally proves
+// runs sharing one arena trace share no mutable state.
+func TestSweepEveryPredictorPair(t *testing.T) {
+	preds := stems.Predictors()
+	solo := make(map[string]stems.Result, len(preds))
+	for _, p := range preds {
+		res, err := sweepPoint(t, p).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[p] = res
+	}
+	for i, a := range preds {
+		for _, b := range preds[i+1:] {
+			for _, parallelism := range []int{1, 2} {
+				arena := stems.NewArena()
+				grid := []*stems.Runner{
+					sweepPoint(t, a, stems.WithSharedTrace(arena)),
+					sweepPoint(t, b, stems.WithSharedTrace(arena)),
+				}
+				res, err := stems.Sweep(context.Background(), grid,
+					stems.WithParallelism(parallelism))
+				if err != nil {
+					t.Fatalf("%s+%s parallelism=%d: %v", a, b, parallelism, err)
+				}
+				if res[0] != solo[a] || res[1] != solo[b] {
+					t.Errorf("%s+%s parallelism=%d: swept pair diverged from solo runs", a, b, parallelism)
+				}
+			}
 		}
 	}
 }
@@ -210,13 +288,13 @@ func TestSweepSharedTraceMatchesPerRunGeneration(t *testing.T) {
 		solo[i] = build(nil, mod)
 	}
 
-	// Unfused: every runner resolves the trace itself, so the arena sees
-	// one generation and a hit per remaining grid point.
-	sharedRes, err := stems.Sweep(context.Background(), shared, stems.WithFusion(false))
+	// Every runner resolves the trace itself, so the arena sees one
+	// generation and a hit per remaining grid point.
+	sharedRes, err := stems.Sweep(context.Background(), shared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloRes, err := stems.Sweep(context.Background(), solo, stems.WithFusion(false))
+	soloRes, err := stems.Sweep(context.Background(), solo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,27 +306,5 @@ func TestSweepSharedTraceMatchesPerRunGeneration(t *testing.T) {
 	}
 	if st := arena.Stats(); st.Generations != 1 || st.Hits != len(mods)-1 {
 		t.Errorf("arena stats = %+v, want 1 generation and %d hits", st, len(mods)-1)
-	}
-
-	// Fused: the whole same-cell grid replays one shared cursor, so only
-	// the group leader touches the arena — still one generation, and now
-	// zero extra resolutions. Results must not move.
-	arena2 := stems.NewArena()
-	fused := make([]*stems.Runner, len(mods))
-	for i, mod := range mods {
-		fused[i] = build(arena2, mod)
-	}
-	fusedRes, err := stems.Sweep(context.Background(), fused)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mods {
-		if fusedRes[i] != soloRes[i] {
-			t.Errorf("point %d: fused result %+v != per-run result %+v",
-				i, fusedRes[i], soloRes[i])
-		}
-	}
-	if st := arena2.Stats(); st.Generations != 1 || st.Hits != 0 {
-		t.Errorf("fused arena stats = %+v, want 1 generation and 0 hits", st)
 	}
 }
