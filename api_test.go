@@ -4,12 +4,17 @@
 package stems_test
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"stems"
 	"stems/internal/sim"
+	"stems/internal/trace"
 )
 
 // ---- registry ----
@@ -120,7 +125,7 @@ func TestRunnerUnknownWorkload(t *testing.T) {
 func TestRunnerConflictingSources(t *testing.T) {
 	_, err := stems.New(
 		stems.WithWorkload("DB2"),
-		stems.WithTrace([]stems.Access{{Addr: 64}}),
+		stems.WithBlockSourceFunc(stems.NewBlockTrace([]stems.Access{{Addr: 64}}).Blocks),
 	)
 	if err == nil {
 		t.Fatal("conflicting sources accepted")
@@ -173,9 +178,9 @@ func TestRunnerScientificDefaulting(t *testing.T) {
 	}
 }
 
-func TestWithTraceNilReplaysNothing(t *testing.T) {
-	// A nil trace is an explicit (empty) source, not "fall back to DB2".
-	r, err := stems.New(stems.WithTrace(nil), stems.WithPredictor("none"))
+func TestEmptyBlockStreamReplaysNothing(t *testing.T) {
+	// An empty block stream is an explicit source, not "fall back to DB2".
+	r, err := stems.New(stems.WithBlockSourceFunc(stems.NewBlockTrace(nil).Blocks), stems.WithPredictor("none"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +189,107 @@ func TestWithTraceNilReplaysNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Accesses != 0 {
-		t.Fatalf("nil trace replayed %d accesses", res.Accesses)
+		t.Fatalf("empty block stream replayed %d accesses", res.Accesses)
+	}
+}
+
+// accessWalk is a per-access Source over a slice — the shape of a custom
+// workload generator, which the Runner takes batched by AsBlockSource.
+type accessWalk struct{ accs []stems.Access }
+
+func (w *accessWalk) Next(a *stems.Access) bool {
+	if len(w.accs) == 0 {
+		return false
+	}
+	*a, w.accs = w.accs[0], w.accs[1:]
+	return true
+}
+
+// TestBlockSourceInputsMatchWorkload pins the one custom-input path: each
+// way of handing the Runner a block stream — an in-memory BlockTrace, a
+// per-access Source batched by AsBlockSource, and v1 and v2 trace files —
+// replays exactly the run WithWorkload generates, and a WithAccesses cap
+// (or, for a file, a read max) replays exactly the same prefix. Oracle is
+// commercial, so the workload run's lookahead default is the block
+// stream's.
+func TestBlockSourceInputsMatchWorkload(t *testing.T) {
+	const seed, n, short = 3, 3*trace.BlockCap + 77, trace.BlockCap + 100
+	spec, err := stems.WorkloadByName("Oracle")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accs := spec.Generate(seed, n)
+	run := func(opts ...stems.Option) stems.Result {
+		t.Helper()
+		r, err := stems.New(append([]stems.Option{
+			stems.WithPredictor("stems"), stems.WithSystem(stems.ScaledSystem()),
+		}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(stems.WithWorkload("Oracle"), stems.WithSeed(seed), stems.WithAccesses(n))
+	wantShort := run(stems.WithBlockSourceFunc(stems.NewBlockTrace(accs[:short]).Blocks))
+	if want.Accesses != n || wantShort.Accesses != short {
+		t.Fatalf("reference runs replayed %d and %d accesses, want %d and %d", want.Accesses, wantShort.Accesses, n, short)
+	}
+
+	dir := t.TempDir()
+	writeFile := func(name string, newWriter func(io.Writer) *stems.TraceWriter) string {
+		t.Helper()
+		var buf bytes.Buffer
+		w := newWriter(&buf)
+		if err := w.WriteAll(accs); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	readFile := func(path string, max int) func() stems.BlockSource {
+		t.Helper()
+		bt, err := stems.ReadTraceFileBlocks(path, max)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bt.Blocks
+	}
+	files := []struct{ name, path string }{
+		{"v1 file", writeFile("v1.trace", stems.NewTraceWriter)},
+		{"v2 file", writeFile("v2.trace", stems.NewTraceWriterV2)},
+	}
+
+	inputs := []struct {
+		name string
+		fn   func() stems.BlockSource
+	}{
+		{"block trace", stems.NewBlockTrace(accs).Blocks},
+		{"per-access source", func() stems.BlockSource { return stems.AsBlockSource(&accessWalk{accs: accs}) }},
+		{files[0].name, readFile(files[0].path, 0)},
+		{files[1].name, readFile(files[1].path, 0)},
+	}
+	for _, in := range inputs {
+		if got := run(stems.WithBlockSourceFunc(in.fn)); got != want {
+			t.Errorf("%s: result differs from WithWorkload:\ngot  %+v\nwant %+v", in.name, got, want)
+		}
+		if got := run(stems.WithBlockSourceFunc(in.fn), stems.WithAccesses(short)); got != wantShort {
+			t.Errorf("%s under WithAccesses(%d): result differs from the prefix run:\ngot  %+v\nwant %+v", in.name, short, got, wantShort)
+		}
+	}
+	for _, f := range files {
+		if got := run(stems.WithBlockSourceFunc(readFile(f.path, short))); got != wantShort {
+			t.Errorf("%s read with max %d: result differs from the prefix run:\ngot  %+v\nwant %+v", f.name, short, got, wantShort)
+		}
 	}
 }
 
@@ -231,7 +336,7 @@ func TestRunnerRunMatchesDirectBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.Run(stems.NewSliceSource(spec.Generate(42, n)))
+	want := m.RunBlocks(stems.NewBlockTrace(spec.Generate(42, n)).Blocks())
 	if got != want {
 		t.Fatalf("Runner result diverges from direct build:\ngot  %+v\nwant %+v", got, want)
 	}

@@ -101,38 +101,25 @@ func main() {
 		sys = stems.PaperSystem()
 	}
 
-	// The access stream is materialized once, in compact columnar block
-	// form, and shared read-only by every runner — each gets its own
-	// cursor over the same BlockTrace, so running len(kinds) predictors
-	// costs one trace generation and one resident copy.
+	// The access stream is held once, in compact columnar block form, and
+	// shared read-only by every runner — each gets its own cursor over the
+	// same BlockTrace, so running len(kinds) predictors costs one trace
+	// read or generation and one resident copy. A trace file is read here;
+	// a workload trace is generated into a shared arena by the first run.
 	opts := []stems.Option{stems.WithSystem(sys), stems.WithKnobs(knobs)}
 	header := ""
-	var bt *stems.BlockTrace
 	if *traceFile != "" {
-		var err error
-		bt, err = stems.ReadTraceFileBlocks(*traceFile, *accesses)
+		bt, err := stems.ReadTraceFileBlocks(*traceFile, *accesses)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		header = fmt.Sprintf("trace %s: %d accesses", *traceFile, bt.Len())
+		opts = append(opts, stems.WithBlockSourceFunc(bt.Blocks))
 	} else {
-		spec, err := stems.WorkloadByName(*wl)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		n := spec.DefaultAccesses
-		if *accesses > 0 {
-			n = *accesses
-		}
-		bt = spec.GenerateBlocks(*seed, n)
-		if spec.Scientific {
-			opts = append(opts, stems.WithScientificLookahead())
-		}
-		header = fmt.Sprintf("workload %s (%s): %d accesses, seed %d", spec.Name, spec.Class, n, *seed)
+		opts = append(opts, stems.WithWorkload(*wl), stems.WithSeed(*seed),
+			stems.WithAccesses(*accesses), stems.WithSharedTrace(stems.NewArena()))
 	}
-	opts = append(opts, stems.WithBlockSourceFunc(bt.Blocks))
 
 	grid := make([]*stems.Runner, len(kinds))
 	for i, kind := range kinds {
@@ -154,6 +141,13 @@ func main() {
 		os.Exit(1)
 	}
 
+	if header == "" {
+		// New has validated the workload name; the lookup only reads its
+		// class for the header.
+		spec, _ := stems.WorkloadByName(*wl)
+		header = fmt.Sprintf("workload %s (%s): %d accesses, seed %d",
+			spec.Name, spec.Class, results[0].Accesses, *seed)
+	}
 	fmt.Printf("%s\n\n", header)
 	// Predictors() orders the baselines first, so the speedup references
 	// are available by the time the streamed predictors print.

@@ -82,6 +82,12 @@ func main() {
 	})
 	flag.Parse()
 
+	// The wire Spec both paths build reads seed 0 as "the default, 1", so
+	// the flag gets the Runner's seed validation before it is lowered.
+	if _, err := stems.New(stems.WithSeed(*seed)); err != nil {
+		fatal(err)
+	}
+
 	knobName, valueList := *param, *values
 	var pins map[string]stems.Value
 	if a, ok := aliases[*param]; ok {

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
@@ -97,5 +100,29 @@ func TestGridTable(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("table output missing %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestSeedZeroRejected re-executes the test binary into main with
+// -seed 0. The wire Spec reads seed 0 as "the default, 1", so without
+// its own check the sweep would quietly replay seed 1; it must exit 2
+// with the Runner's invalid-seed error before either path runs.
+func TestSeedZeroRejected(t *testing.T) {
+	if os.Getenv("SWEEP_HELPER_MAIN") == "1" {
+		os.Args = []string{"sweep", "-seed", "0", "-accesses", "1000"}
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestSeedZeroRejected$")
+	cmd.Env = append(os.Environ(), "SWEEP_HELPER_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("sweep -seed 0: err = %v, want exit status 2 (stderr: %q)", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "invalid seed 0") {
+		t.Errorf("stderr = %q, want the Runner's invalid-seed error", stderr.String())
 	}
 }

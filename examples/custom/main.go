@@ -1,8 +1,8 @@
 // custom shows the two extension points of the public API: registering
 // your own predictor (stems.RegisterPredictor) and supplying your own
-// workload (any stems.Source), then running both through the same Runner,
-// Sweep, and metrics as the paper's predictors — without importing any
-// internal package.
+// workload (any stems.Source, batched by stems.AsBlockSource), then running
+// both through the same Runner, Sweep, and metrics as the paper's
+// predictors — without importing any internal package.
 //
 // The custom prefetcher here is a simple next-line prefetcher; the custom
 // workload is a strided matrix-column walk that defeats it half the time.
@@ -74,15 +74,16 @@ func main() {
 	}
 
 	// One runner per predictor, all replaying the same custom workload.
-	// WithSourceFunc hands each run a fresh walk, so the comparison is
-	// apples to apples (and safe under Sweep's parallelism).
-	walk := func() stems.Source {
-		return &columnWalk{rows: 512, cols: 2048, limit: 300_000}
+	// WithBlockSourceFunc hands each run a fresh walk, batched into
+	// columnar blocks, so the comparison is apples to apples (and safe
+	// under Sweep's parallelism).
+	walk := func() stems.BlockSource {
+		return stems.AsBlockSource(&columnWalk{rows: 512, cols: 2048, limit: 300_000})
 	}
 	var grid []*stems.Runner
 	for _, pf := range []string{"none", "next-line", "stems"} {
 		r, err := stems.New(
-			stems.WithSourceFunc(walk),
+			stems.WithBlockSourceFunc(walk),
 			stems.WithPredictor(pf),
 			stems.WithSystem(stems.ScaledSystem()),
 			stems.WithLabel(pf),

@@ -64,11 +64,13 @@ func main() {
 	accs := buildScan(3000, 4)
 	fmt.Printf("index scan: 3000 scattered pages x 6 fields x 4 sweeps = %d accesses\n\n", len(accs))
 
+	// Compact the scan once; every runner replays its own cursor over it.
+	bt := stems.NewBlockTrace(accs)
 	predictors := []string{"stride", "tms", "sms", "stems"}
 	grid := make([]*stems.Runner, len(predictors))
 	for i, pf := range predictors {
 		r, err := stems.New(
-			stems.WithTrace(accs),
+			stems.WithBlockSourceFunc(bt.Blocks),
 			stems.WithPredictor(pf),
 			stems.WithSystem(stems.ScaledSystem()),
 		)

@@ -39,11 +39,13 @@ func main() {
 	fmt.Printf("linked-list walk: 20000 scattered nodes x 5 iterations = %d accesses\n", len(accs))
 	fmt.Printf("every access is a dependent off-chip miss in the baseline\n\n")
 
+	// Compact the walk once; every runner replays its own cursor over it.
+	bt := stems.NewBlockTrace(accs)
 	predictors := []string{"none", "sms", "tms", "stems"}
 	grid := make([]*stems.Runner, len(predictors))
 	for i, pf := range predictors {
 		r, err := stems.New(
-			stems.WithTrace(accs),
+			stems.WithBlockSourceFunc(bt.Blocks),
 			stems.WithPredictor(pf),
 			stems.WithSystem(stems.ScaledSystem()),
 			stems.WithScientificLookahead(), // deeper streams, as for em3d (§4.3)

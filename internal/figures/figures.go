@@ -391,7 +391,7 @@ func Figure10(p Params) []Fig10Row {
 			row.Speedup[kind] = &stats.Sample{}
 		}
 		for s := 0; s < seeds; s++ {
-			seed := p.Seed + int64(s)*7919
+			seed := p.Seed + int64(s)*workload.SeedStride
 			var bt *trace.BlockTrace
 			if seed == p.Seed {
 				// The base seed is shared with every other figure through
@@ -402,14 +402,7 @@ func Figure10(p Params) []Fig10Row {
 			}
 			machines := make([]*sim.Machine, 0, 1+len(Fig10Kinds))
 			for _, kind := range append([]sim.Kind{sim.KindStride}, Fig10Kinds...) {
-				opt := sim.DefaultOptions()
-				opt.System = p.system()
-				opt.Scientific = spec.Scientific
-				m, err := sim.Build(kind, opt)
-				if err != nil {
-					panic(err)
-				}
-				machines = append(machines, m)
+				machines = append(machines, buildFigMachine(p, spec, kind))
 			}
 			results := p.replayPanel(bt, machines)
 			base := results[0]

@@ -34,12 +34,15 @@ func Workloads(p Params) []WorkloadRow {
 		row := WorkloadRow{Workload: spec.Name, Class: spec.Class, Accesses: uint64(bt.Len())}
 		blocks := make(map[mem.Addr]struct{})
 		var writes uint64
-		var a trace.Access
-		for src := bt.Source(); src.Next(&a); {
-			if a.Write {
-				writes++
+		var b trace.Block
+		for src := bt.Blocks(); src.NextBlock(&b); {
+			for i := 0; i < b.N; i++ {
+				a := b.At(i)
+				if a.Write {
+					writes++
+				}
+				blocks[a.Addr.Block()] = struct{}{}
 			}
-			blocks[a.Addr.Block()] = struct{}{}
 		}
 		row.WriteFrac = float64(writes) / float64(bt.Len())
 		row.Footprint = len(blocks)

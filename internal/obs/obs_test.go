@@ -18,14 +18,14 @@ func TestBucketBoundaries(t *testing.T) {
 	}{
 		{-5, 0}, // negative clamps to zero
 		{0, 0},
-		{1, 0},          // ≤ 2^0
-		{2, 1},          // ≤ 2^1
-		{3, 2},          // > 2 so next bucket
-		{4, 2},          // = 2^2
-		{5, 3},          // > 2^2
-		{1024, 10},      // exactly 2^10
-		{1025, 11},      // one past
-		{time.Hour, 42}, // 3.6e12 ns ≤ 2^42 (≈4.4e12)
+		{1, 0},                            // ≤ 2^0
+		{2, 1},                            // ≤ 2^1
+		{3, 2},                            // > 2 so next bucket
+		{4, 2},                            // = 2^2
+		{5, 3},                            // > 2^2
+		{1024, 10},                        // exactly 2^10
+		{1025, 11},                        // one past
+		{time.Hour, 42},                   // 3.6e12 ns ≤ 2^42 (≈4.4e12)
 		{100 * time.Hour, NumBuckets - 1}, // overflow bucket
 	}
 	for _, c := range cases {

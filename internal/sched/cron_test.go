@@ -70,18 +70,18 @@ func TestCronEvery(t *testing.T) {
 func TestCronParseErrors(t *testing.T) {
 	for _, expr := range []string{
 		"",
-		"* * * *",           // four fields
-		"* * * * * *",       // six fields
-		"60 * * * *",        // minute out of range
-		"* 24 * * *",        // hour out of range
-		"* * 0 * *",         // dom out of range
-		"* * * 13 *",        // month out of range
-		"* * * * 7",         // dow out of range
-		"a * * * *",         // not a number
-		"1-0 * * * *",       // inverted range
-		"*/0 * * * *",       // zero step
-		"@every nonsense",   // bad duration
-		"@every 500ms",      // below the floor
+		"* * * *",         // four fields
+		"* * * * * *",     // six fields
+		"60 * * * *",      // minute out of range
+		"* 24 * * *",      // hour out of range
+		"* * 0 * *",       // dom out of range
+		"* * * 13 *",      // month out of range
+		"* * * * 7",       // dow out of range
+		"a * * * *",       // not a number
+		"1-0 * * * *",     // inverted range
+		"*/0 * * * *",     // zero step
+		"@every nonsense", // bad duration
+		"@every 500ms",    // below the floor
 	} {
 		if _, err := ParseCron(expr); err == nil {
 			t.Errorf("ParseCron(%q) accepted", expr)

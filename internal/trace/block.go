@@ -188,15 +188,6 @@ func (s *sourceBlocks) NextBlock(b *Block) bool {
 	return b.N > 0
 }
 
-// Len forwards the underlying source's length hint (see Collect); it
-// reports -1 when the source has none.
-func (s *sourceBlocks) Len() int {
-	if h, ok := s.src.(lenHinter); ok {
-		return h.Len()
-	}
-	return -1
-}
-
 // LimitBlocks truncates a block stream after n accesses. Whole blocks pass
 // through untouched; the block that crosses the limit is shortened in
 // place of being repacked. Its columns are only re-sliced, never written —
@@ -245,42 +236,6 @@ func maskedWords(words []uint64, n int) []uint64 {
 	}
 	return out
 }
-
-// Unblock adapts a BlockSource back to a per-access Source — the lossless
-// inverse of Blocks, used to feed block-native producers (v2 trace files,
-// arena-cached BlockTraces) into per-access consumers. A length hint on
-// the block source (a BlockTrace cursor, a wrapped hinted Source) is
-// forwarded so Collect still preallocates.
-func Unblock(bs BlockSource) Source {
-	total := -1
-	if h, ok := bs.(lenHinter); ok {
-		total = h.Len()
-	}
-	return &blockAccesses{bs: bs, total: total}
-}
-
-type blockAccesses struct {
-	bs    BlockSource
-	b     Block
-	pos   int
-	total int // length hint, -1 when unknown
-}
-
-// Next implements Source.
-func (u *blockAccesses) Next(a *Access) bool {
-	for u.pos >= u.b.N {
-		if !u.bs.NextBlock(&u.b) {
-			return false
-		}
-		u.pos = 0
-	}
-	*a = u.b.At(u.pos)
-	u.pos++
-	return true
-}
-
-// Len implements the Collect preallocation hint (-1 when unknown).
-func (u *blockAccesses) Len() int { return u.total }
 
 // BlockTrace is a complete trace held in columnar blocks — the compact
 // resident form cached by Arena and produced by workload generators, at
@@ -374,11 +329,6 @@ func (t *BlockTrace) BlockAt(i int) *Block { return &t.blocks[i] }
 // replay one trace concurrently as long as none mutates it.
 func (t *BlockTrace) Blocks() BlockSource { return &blockTraceSource{t: t} }
 
-// Source returns a per-access view of the trace, carrying a Len hint.
-func (t *BlockTrace) Source() Source {
-	return &blockAccesses{bs: t.Blocks(), total: t.n}
-}
-
 // Accesses decodes the whole trace into a fresh []Access.
 func (t *BlockTrace) Accesses() []Access {
 	out := make([]Access, 0, t.n)
@@ -417,6 +367,3 @@ func (s *blockTraceSource) NextBlock(b *Block) bool {
 	s.i++
 	return true
 }
-
-// Len implements the Collect preallocation hint.
-func (s *blockTraceSource) Len() int { return s.t.n }

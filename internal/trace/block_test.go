@@ -103,20 +103,6 @@ func TestBlockTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockTraceSourceMatchesSlice(t *testing.T) {
-	in := randomAccesses(3, BlockCap+55)
-	bt := NewBlockTrace(in)
-	got := Collect(bt.Source(), 0)
-	if len(got) != len(in) {
-		t.Fatalf("Source yielded %d accesses, want %d", len(got), len(in))
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("access %d = %+v, want %+v", i, got[i], in[i])
-		}
-	}
-}
-
 func TestBlockTraceCursorAliases(t *testing.T) {
 	in := randomAccesses(4, BlockCap+100)
 	bt := NewBlockTrace(in)
@@ -146,20 +132,6 @@ func TestBlockTraceCursorAliases(t *testing.T) {
 	}
 	if bt.BlockAt(0).At(0) != in[0] {
 		t.Fatal("trace storage corrupted by detached append")
-	}
-}
-
-func TestBlocksUnblockRoundTrip(t *testing.T) {
-	in := randomAccesses(5, BlockCap+321)
-	src := Unblock(Blocks(NewSliceSource(in)))
-	got := Collect(src, 0)
-	if len(got) != len(in) {
-		t.Fatalf("round trip yielded %d accesses, want %d", len(got), len(in))
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("access %d = %+v, want %+v", i, got[i], in[i])
-		}
 	}
 }
 
@@ -228,20 +200,11 @@ func TestBlockTraceAppendBlock(t *testing.T) {
 	}
 }
 
-func TestUnblockForwardsLenHint(t *testing.T) {
-	in := randomAccesses(10, 3000)
-	got := Collect(Unblock(NewBlockTrace(in).Blocks()), 0)
-	if len(got) != len(in) || cap(got) != len(in) {
-		t.Fatalf("len/cap = %d/%d, want %d/%d (hint forwarded)", len(got), cap(got), len(in), len(in))
-	}
-}
-
 func TestCollectPreallocatesFromHints(t *testing.T) {
 	in := randomAccesses(8, 5000)
 	for name, src := range map[string]Source{
-		"slice":      NewSliceSource(in),
-		"limit":      NewLimit(NewSliceSource(in), 2000),
-		"blocktrace": NewBlockTrace(in).Source(),
+		"slice": NewSliceSource(in),
+		"limit": NewLimit(NewSliceSource(in), 2000),
 	} {
 		got := Collect(src, 0)
 		want := len(in)
@@ -265,7 +228,7 @@ func TestLimitLenHint(t *testing.T) {
 	if got := NewLimit(NewSliceSource(mkAccesses(100)), 7).Len(); got != 7 {
 		t.Fatalf("Limit(7) over 100 hints %d, want 7", got)
 	}
-	if got := NewLimit(FuncSource(func(*Access) bool { return false }), 7).Len(); got != 7 {
+	if got := NewLimit(NewReader(bytes.NewReader(nil)), 7).Len(); got != 7 {
 		t.Fatalf("Limit(7) over unhinted source hints %d, want 7", got)
 	}
 }

@@ -1,6 +1,8 @@
 // Package trace defines the memory-access record that flows from workload
-// generators into the simulator, and small composable utilities for
-// producing, filtering, and capturing access streams.
+// generators into the simulator and the two stream shapes that carry it:
+// the per-access Source and the columnar BlockSource the replay pipeline
+// runs on. It also holds the compact resident BlockTrace, the Arena that
+// shares generated traces, and the binary trace file format.
 //
 // The paper's methodology (§5.1) analyzes memory traces collected with
 // in-order functional simulation; this package is the equivalent interface
@@ -72,15 +74,14 @@ func (s *SliceSource) Len() int { return len(s.accesses) }
 // lenHinter is the optional length-hint interface: sources that know (an
 // upper bound on) how many accesses they will yield report it so Collect
 // can preallocate instead of growing through O(log n) reallocations.
-// SliceSource, Limit, and the block sources satisfy it; a negative value
-// means unknown.
+// SliceSource and Limit satisfy it; a negative value means unknown.
 type lenHinter interface {
 	Len() int
 }
 
 // Collect drains up to max accesses from src into a slice. A max of 0 means
-// drain the entire source. Sources with a Len hint (SliceSource, Limit,
-// BlockTrace views) are collected into one right-sized allocation.
+// drain the entire source. Sources with a Len hint (SliceSource, Limit)
+// are collected into one right-sized allocation.
 func Collect(src Source, max int) []Access {
 	var out []Access
 	if h, ok := src.(lenHinter); ok {
@@ -133,61 +134,4 @@ func (l *Limit) Len() int {
 		}
 	}
 	return n
-}
-
-// Filter wraps a source, yielding only accesses for which Keep returns true.
-type Filter struct {
-	Src  Source
-	Keep func(Access) bool
-}
-
-// Next implements Source.
-func (f *Filter) Next(a *Access) bool {
-	for f.Src.Next(a) {
-		if f.Keep(*a) {
-			return true
-		}
-	}
-	return false
-}
-
-// Tee wraps a source, invoking Observe on every access that passes through.
-type Tee struct {
-	Src     Source
-	Observe func(Access)
-}
-
-// Next implements Source.
-func (t *Tee) Next(a *Access) bool {
-	if !t.Src.Next(a) {
-		return false
-	}
-	t.Observe(*a)
-	return true
-}
-
-// FuncSource adapts a generator function to the Source interface.
-type FuncSource func(a *Access) bool
-
-// Next implements Source.
-func (f FuncSource) Next(a *Access) bool { return f(a) }
-
-// Concat yields the accesses of each source in turn.
-type Concat struct {
-	Srcs []Source
-	idx  int
-}
-
-// NewConcat returns a Source that exhausts each src in order.
-func NewConcat(srcs ...Source) *Concat { return &Concat{Srcs: srcs} }
-
-// Next implements Source.
-func (c *Concat) Next(a *Access) bool {
-	for c.idx < len(c.Srcs) {
-		if c.Srcs[c.idx].Next(a) {
-			return true
-		}
-		c.idx++
-	}
-	return false
 }

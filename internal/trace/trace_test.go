@@ -60,63 +60,6 @@ func TestLimit(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	src := &Filter{
-		Src:  NewSliceSource(mkAccesses(20)),
-		Keep: func(a Access) bool { return a.PC == 0 },
-	}
-	got := Collect(src, 0)
-	for _, a := range got {
-		if a.PC != 0 {
-			t.Errorf("filter leaked access with PC %d", a.PC)
-		}
-	}
-	if len(got) != 3 { // i = 0, 7, 14
-		t.Errorf("filter yielded %d accesses, want 3", len(got))
-	}
-}
-
-func TestTee(t *testing.T) {
-	var seen int
-	src := &Tee{
-		Src:     NewSliceSource(mkAccesses(9)),
-		Observe: func(Access) { seen++ },
-	}
-	got := Collect(src, 0)
-	if seen != len(got) || seen != 9 {
-		t.Errorf("tee observed %d, collected %d, want 9 each", seen, len(got))
-	}
-}
-
-func TestFuncSource(t *testing.T) {
-	n := 0
-	src := FuncSource(func(a *Access) bool {
-		if n >= 4 {
-			return false
-		}
-		a.Addr = mem.Addr(n)
-		n++
-		return true
-	})
-	if got := Collect(src, 0); len(got) != 4 {
-		t.Fatalf("FuncSource yielded %d, want 4", len(got))
-	}
-}
-
-func TestConcat(t *testing.T) {
-	a := NewSliceSource(mkAccesses(3))
-	b := NewSliceSource(mkAccesses(2))
-	c := NewConcat(a, b)
-	if got := Collect(c, 0); len(got) != 5 {
-		t.Fatalf("Concat yielded %d, want 5", len(got))
-	}
-	// Empty concat terminates immediately.
-	var acc Access
-	if NewConcat().Next(&acc) {
-		t.Error("empty Concat yielded an access")
-	}
-}
-
 // Property: Limit(n) never yields more than n and preserves order/content.
 func TestLimitProperty(t *testing.T) {
 	f := func(sizes []uint8, limit uint8) bool {

@@ -30,6 +30,13 @@ const (
 	ClassSci  Class = "Scientific"
 )
 
+// SeedStride is the spacing of derived seed progressions: seed s of a
+// K-seed set is base + s*SeedStride, both for the public Runner's seed
+// sets and for Figure 10's confidence-interval seeds. (7919 — the 1000th
+// prime — keeps derived seeds far apart so neighboring bases never
+// collide within a sweep's seed count.)
+const SeedStride = 7919
+
 // Spec describes one workload.
 type Spec struct {
 	// Name is the paper's label (e.g. "Apache", "Qry2", "em3d").
@@ -44,22 +51,12 @@ type Spec struct {
 	Generate func(seed int64, n int) []trace.Access
 }
 
-// Source returns a trace source of the spec's default length.
-func (s Spec) Source(seed int64) trace.Source {
-	return trace.NewSliceSource(s.Generate(seed, s.DefaultAccesses))
-}
-
 // GenerateBlocks produces the same deterministic trace as Generate,
 // compacted into columnar blocks — the form the pipeline replays and the
 // arena caches. The intermediate []Access is transient; only the ~2x
 // smaller BlockTrace is retained.
 func (s Spec) GenerateBlocks(seed int64, n int) *trace.BlockTrace {
 	return trace.NewBlockTrace(s.Generate(seed, n))
-}
-
-// BlockSource returns a block-trace cursor of the spec's default length.
-func (s Spec) BlockSource(seed int64) trace.BlockSource {
-	return s.GenerateBlocks(seed, s.DefaultAccesses).Blocks()
 }
 
 // Suite returns the ten workloads in the paper's figure order.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"stems/internal/mem"
-	"stems/internal/trace"
 )
 
 func TestSuiteShape(t *testing.T) {
@@ -235,15 +234,6 @@ func TestOceanDense(t *testing.T) {
 	}
 	if dense < len(regions)/2 {
 		t.Fatalf("only %d/%d regions fully dense; ocean should sweep whole regions", dense, len(regions))
-	}
-}
-
-func TestSourceHelper(t *testing.T) {
-	spec, _ := ByName("Apache")
-	src := spec.Source(1)
-	got := trace.Collect(src, 0)
-	if len(got) != spec.DefaultAccesses {
-		t.Fatalf("Source yielded %d, want %d", len(got), spec.DefaultAccesses)
 	}
 }
 

@@ -7,32 +7,25 @@ import (
 
 	"stems/internal/sim"
 	"stems/internal/trace"
+	"stems/internal/workload"
 )
 
 // Runner is one fully configured simulation: a predictor, a system
 // configuration, and an access stream. Build it with New, execute it with
 // Run; a Runner is reusable (every Run constructs a fresh machine and a
-// fresh trace) and safe to execute concurrently with other Runners, which
+// fresh cursor) and safe to execute concurrently with other Runners, which
 // is what Sweep does.
 type Runner struct {
 	predictor string
 	opt       Options
 	label     string
 
-	// Exactly one access-stream source; workloadName is the default.
-	workloadName string
-	spec         Workload
-	specSet      bool
-	// suiteWorkload records that spec came from the named paper suite
-	// (WithWorkload or the default), i.e. a name FromSpec can resolve —
-	// the provenance Runner.Spec requires.
-	suiteWorkload bool
-	traceFile     string
-	traceAccs     []Access
-	traceSet      bool
-	sourceFn      func() Source
-	blockFn       func() BlockSource
-	arena         *Arena
+	// The access stream: a suite workload (spec; DB2 unless WithWorkload
+	// names another) or a caller's block stream (blockFn), never both.
+	spec    Workload
+	specSet bool
+	blockFn func() BlockSource
+	arena   *Arena
 
 	seed      int64
 	seedCount int
@@ -50,8 +43,9 @@ type Runner struct {
 type Option func(*Runner)
 
 // WithWorkload selects a workload from the paper's suite by name (see
-// WorkloadNames). Scientific workloads automatically get the deeper §4.3
-// stream lookahead unless WithScientificLookahead overrides it.
+// WorkloadNames); a Runner without another source replays DB2. Scientific
+// workloads automatically get the deeper §4.3 stream lookahead unless
+// WithScientificLookahead overrides it.
 func WithWorkload(name string) Option {
 	return func(r *Runner) {
 		spec, err := WorkloadByName(name)
@@ -59,51 +53,15 @@ func WithWorkload(name string) Option {
 			r.errs = append(r.errs, err)
 			return
 		}
-		r.spec, r.specSet, r.suiteWorkload = spec, true, true
+		r.spec, r.specSet = spec, true
 	}
 }
 
-// WithWorkloadSpec supplies a workload spec directly — the hook for
-// out-of-tree workloads with a Generate function.
-func WithWorkloadSpec(spec Workload) Option {
-	return func(r *Runner) {
-		if spec.Generate == nil {
-			r.errs = append(r.errs, fmt.Errorf("stems: workload spec %q has no Generate function", spec.Name))
-			return
-		}
-		r.spec, r.specSet, r.suiteWorkload = spec, true, false
-	}
-}
-
-// WithTraceFile replays a binary trace file written by cmd/tracegen (or
-// NewTraceWriter) instead of generating a workload.
-func WithTraceFile(path string) Option {
-	return func(r *Runner) { r.traceFile = path }
-}
-
-// WithTrace replays an in-memory access slice. The slice is only read, so
-// many Runners may share it. A nil slice replays zero accesses, like an
-// empty one — it does not fall back to the default workload.
-func WithTrace(accs []Access) Option {
-	return func(r *Runner) {
-		r.traceAccs = accs
-		r.traceSet = true
-	}
-}
-
-// WithSourceFunc replays a custom access stream. The function is invoked
-// once per Run so that repeated (and parallel) runs each get a fresh
-// Source. The stream is batched into columnar blocks internally; a source
-// that natively produces blocks skips the adapter (see WithBlockSourceFunc
-// for supplying one directly).
-func WithSourceFunc(fn func() Source) Option {
-	return func(r *Runner) { r.sourceFn = fn }
-}
-
-// WithBlockSourceFunc replays a custom block stream — the batched
-// counterpart of WithSourceFunc for sources that already produce columnar
-// blocks (a BlockTrace cursor, a v2 trace reader). The function is invoked
-// once per Run so repeated (and parallel) runs each get a fresh cursor.
+// WithBlockSourceFunc replays a caller's block stream instead of a suite
+// workload: a trace held in memory (NewBlockTrace(accs).Blocks), a trace
+// file (ReadTraceFileBlocks), or a per-access Source batched by
+// AsBlockSource. The function is invoked once per Run so repeated (and
+// parallel) runs each get a fresh cursor.
 func WithBlockSourceFunc(fn func() BlockSource) Option {
 	return func(r *Runner) { r.blockFn = fn }
 }
@@ -114,10 +72,8 @@ func WithBlockSourceFunc(fn func() BlockSource) Option {
 // same read-only slice. Hand one arena to every Runner of a Sweep grid and
 // an N-point sweep generates its trace once instead of N times.
 //
-// The arena only applies to workload sources (WithWorkload /
-// WithWorkloadSpec); file, slice, and custom sources are already
-// caller-shared. Traces are keyed by workload name, so specs sharing an
-// arena must have distinct names.
+// The arena only applies to workload sources; a block stream is already
+// the caller's to share.
 func WithSharedTrace(a *Arena) Option {
 	return func(r *Runner) { r.arena = a }
 }
@@ -204,9 +160,8 @@ func WithSeed(seed int64) Option {
 // configures: seed s of a K-seed set is base + s*SeedStride. The figure
 // harness uses the same progression for Figure 10's confidence-interval
 // seeds, so a WithSeeds(1, k) run replays exactly the traces the paper
-// figures aggregate. (7919 — the 1000th prime — keeps derived seeds far
-// apart so neighboring bases never collide within a sweep's seed count.)
-const SeedStride = 7919
+// figures aggregate.
+const SeedStride = workload.SeedStride
 
 // WithSeeds configures a K-seed set for RunSeeds: the seeds
 // base, base+SeedStride, ..., base+(k-1)*SeedStride — Figure 10's
@@ -226,8 +181,7 @@ func WithSeeds(base int64, k int) Option {
 }
 
 // WithAccesses caps the trace length. Zero keeps the workload's default
-// length (for workload sources) or the full trace (for file, slice, and
-// custom sources).
+// length (for a workload source) or the whole stream (for a block stream).
 func WithAccesses(n int) Option {
 	return func(r *Runner) { r.accesses = n }
 }
@@ -278,10 +232,9 @@ func WithLabel(label string) Option {
 // registry and that at most one access-stream source was chosen.
 func New(opts ...Option) (*Runner, error) {
 	r := &Runner{
-		predictor:    string(sim.KindSTeMS),
-		opt:          sim.DefaultOptions(),
-		workloadName: "DB2",
-		seed:         1,
+		predictor: string(sim.KindSTeMS),
+		opt:       sim.DefaultOptions(),
+		seed:      1,
 	}
 	for _, o := range opts {
 		o(r)
@@ -299,21 +252,15 @@ func New(opts ...Option) (*Runner, error) {
 		return nil, fmt.Errorf("stems: empty predictor name (registered: %v)", Predictors())
 	}
 
-	sources := 0
-	for _, set := range []bool{r.specSet, r.traceFile != "", r.traceSet, r.sourceFn != nil, r.blockFn != nil} {
-		if set {
-			sources++
-		}
+	if r.specSet && r.blockFn != nil {
+		return nil, fmt.Errorf("stems: conflicting access-stream sources: choose one of WithWorkload, WithBlockSourceFunc")
 	}
-	if sources > 1 {
-		return nil, fmt.Errorf("stems: conflicting access-stream sources: choose one of WithWorkload/WithWorkloadSpec, WithTraceFile, WithTrace, WithSourceFunc, WithBlockSourceFunc")
-	}
-	if sources == 0 {
-		spec, err := WorkloadByName(r.workloadName)
+	if !r.specSet && r.blockFn == nil {
+		spec, err := WorkloadByName("DB2")
 		if err != nil {
 			return nil, err
 		}
-		r.spec, r.specSet, r.suiteWorkload = spec, true, true
+		r.spec, r.specSet = spec, true
 	}
 
 	if !sim.IsRegistered(sim.Kind(r.predictor)) {
@@ -393,19 +340,12 @@ func specOptions(spec Spec) ([]Option, error) {
 // cache key). Every option-expressible configuration has one — the
 // effective options are diffed against the spec's baseline knob by
 // knob, and the registry covers every Options field, so even
-// WithConfigure edits serialize. Only runs replaying a *named suite*
-// workload are spec-expressible; trace-file, slice, custom-source, and
-// WithWorkloadSpec runs return an error (their access streams are not
-// wire-resolvable).
+// WithConfigure edits serialize. Only runs replaying a suite workload
+// are spec-expressible; a block-stream run returns an error (its access
+// stream is not wire-resolvable).
 func (r *Runner) Spec() (Spec, error) {
 	if !r.specSet {
-		return Spec{}, fmt.Errorf("stems: only workload runs are spec-expressible (this Runner replays a trace file, slice, or custom source)")
-	}
-	if !r.suiteWorkload {
-		// A WithWorkloadSpec workload exists only in this process:
-		// FromSpec could not resolve its name — or worse, would silently
-		// resolve a colliding suite name to a different generator.
-		return Spec{}, fmt.Errorf("stems: workload %q was supplied via WithWorkloadSpec and is not wire-resolvable; only named suite workloads are spec-expressible", r.spec.Name)
+		return Spec{}, fmt.Errorf("stems: only workload runs are spec-expressible (this Runner replays a caller's block stream)")
 	}
 	spec := Spec{
 		Predictor: r.predictor,
@@ -446,23 +386,18 @@ func (r *Runner) Label() string {
 	if r.label != "" {
 		return r.label
 	}
-	switch {
-	case r.specSet:
+	if r.specSet {
 		return r.predictor + "/" + r.spec.Name
-	case r.traceFile != "":
-		return r.predictor + "/" + r.traceFile
-	default:
-		return r.predictor + "/custom"
 	}
+	return r.predictor + "/custom"
 }
 
-// source materializes the configured access stream for one run as a block
-// stream — the pipeline's native currency. Workload and file sources are
-// produced (or cached) directly in columnar form; slice and custom
-// per-access sources go through the lossless Blocks adapter.
+// source opens the configured access stream for one run. A workload trace
+// comes from the shared arena when there is one and is generated in
+// columnar form otherwise; a caller's block stream is capped at the
+// configured length.
 func (r *Runner) source() (BlockSource, error) {
-	switch {
-	case r.specSet:
+	if r.specSet {
 		n := r.spec.DefaultAccesses
 		if r.accesses > 0 {
 			n = r.accesses
@@ -474,43 +409,15 @@ func (r *Runner) source() (BlockSource, error) {
 			return bt.Blocks(), nil
 		}
 		return r.spec.GenerateBlocks(r.seed, n).Blocks(), nil
-	case r.traceFile != "":
-		bt, err := ReadTraceFileBlocks(r.traceFile, r.accesses)
-		if err != nil {
-			return nil, err
-		}
-		return bt.Blocks(), nil
-	case r.traceSet:
-		// Streamed through the adapter per Run, deliberately not converted
-		// to a retained BlockTrace: WithTrace's contract is that many
-		// Runners share one read-only slice, and a per-Runner BlockTrace
-		// copy would multiply resident memory by the grid size. Callers
-		// who want a shared columnar trace pass a BlockTrace through
-		// WithBlockSourceFunc instead (cmd/stemsim does).
-		accs := r.traceAccs
-		if r.accesses > 0 && r.accesses < len(accs) {
-			accs = accs[:r.accesses]
-		}
-		return trace.Blocks(trace.NewSliceSource(accs)), nil
-	case r.blockFn != nil:
-		bs := r.blockFn()
-		if bs == nil {
-			return nil, fmt.Errorf("stems: WithBlockSourceFunc returned a nil BlockSource")
-		}
-		if r.accesses > 0 {
-			return trace.LimitBlocks(bs, r.accesses), nil
-		}
-		return bs, nil
-	default:
-		src := r.sourceFn()
-		if src == nil {
-			return nil, fmt.Errorf("stems: WithSourceFunc returned a nil Source")
-		}
-		if r.accesses > 0 {
-			src = trace.NewLimit(src, r.accesses)
-		}
-		return trace.Blocks(src), nil
 	}
+	bs := r.blockFn()
+	if bs == nil {
+		return nil, fmt.Errorf("stems: WithBlockSourceFunc returned a nil BlockSource")
+	}
+	if r.accesses > 0 {
+		return trace.LimitBlocks(bs, r.accesses), nil
+	}
+	return bs, nil
 }
 
 // Run builds a fresh machine, replays the configured access stream through
@@ -585,7 +492,7 @@ func (r *Runner) RunSeeds(ctx context.Context, seeds ...int64) ([]Result, error)
 		}
 	}
 	if len(list) > 1 && !r.specSet {
-		return nil, fmt.Errorf("stems: multi-seed sets need a workload source (seeds name generated traces; this Runner replays a file, slice, or custom source)")
+		return nil, fmt.Errorf("stems: multi-seed sets need a workload source (seeds name generated traces; this Runner replays a caller's block stream)")
 	}
 	// Each copy reports its own cumulative count; fold them into one
 	// serialized set total.

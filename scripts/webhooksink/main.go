@@ -7,7 +7,8 @@
 //
 // POST /notify  — the webhook target; body is read and discarded.
 // GET  /stats   — {"requests":N,"delivered":M}: total POSTs seen and
-//                 POSTs answered 2xx.
+//
+//	POSTs answered 2xx.
 package main
 
 import (

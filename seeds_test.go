@@ -147,11 +147,11 @@ func TestRunSeedsValidation(t *testing.T) {
 	if _, err := r.RunSeeds(context.Background(), 5, -1); err == nil {
 		t.Error("RunSeeds with negative seed accepted, want error")
 	}
-	slice, err := stems.New(stems.WithTrace(nil))
+	stream, err := stems.New(stems.WithBlockSourceFunc(stems.NewBlockTrace(nil).Blocks))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := slice.RunSeeds(context.Background(), 1, 2); err == nil {
-		t.Error("multi-seed RunSeeds over a slice source accepted, want error")
+	if _, err := stream.RunSeeds(context.Background(), 1, 2); err == nil {
+		t.Error("multi-seed RunSeeds over a block stream accepted, want error")
 	}
 }

@@ -269,33 +269,14 @@ func TestKnobsApplyAfterConfigure(t *testing.T) {
 	}
 }
 
-// TestSpecNotExpressible: trace-file and custom-source runs have no Spec.
+// TestSpecNotExpressible: a block-stream run has no Spec.
 func TestSpecNotExpressible(t *testing.T) {
-	r, err := stems.New(stems.WithTrace([]stems.Access{}))
+	r, err := stems.New(stems.WithBlockSourceFunc(stems.NewBlockTrace(nil).Blocks))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.Spec(); err == nil {
-		t.Error("expected an error for a slice-sourced Runner")
-	}
-}
-
-// TestSpecRejectsWorkloadSpec: a WithWorkloadSpec workload is not
-// wire-resolvable — even (especially) when its name collides with a
-// suite workload, where a silent Spec would round-trip to a different
-// generator.
-func TestSpecRejectsWorkloadSpec(t *testing.T) {
-	custom, err := stems.WorkloadByName("DB2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	custom.Generate = func(seed int64, n int) []stems.Access { return nil }
-	r, err := stems.New(stems.WithWorkloadSpec(custom))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Spec(); err == nil || !strings.Contains(err.Error(), "WithWorkloadSpec") {
-		t.Errorf("err = %v, want a WithWorkloadSpec-not-expressible error", err)
+		t.Error("expected an error for a block-stream Runner")
 	}
 }
 

@@ -50,7 +50,8 @@ import (
 type (
 	// Access is one replayed memory reference.
 	Access = trace.Access
-	// Source yields an access stream.
+	// Source yields an access stream one access at a time; a Runner
+	// replays one batched by AsBlockSource.
 	Source = trace.Source
 	// Block is a columnar batch of up to trace.BlockCap accesses — the
 	// native currency of the replay pipeline.
@@ -232,9 +233,6 @@ func NewTraceWriterVersion(w io.Writer, version int) (*TraceWriter, error) {
 // BlockSource.
 func NewTraceReader(r io.Reader) *TraceReader { return trace.NewReader(r) }
 
-// NewSliceSource adapts an in-memory access slice to a Source.
-func NewSliceSource(accs []Access) Source { return trace.NewSliceSource(accs) }
-
 // NewBlockTrace compacts an access slice into a columnar BlockTrace. The
 // slice is only read.
 func NewBlockTrace(accs []Access) *BlockTrace { return trace.NewBlockTrace(accs) }
@@ -244,36 +242,17 @@ func NewBlockTrace(accs []Access) *BlockTrace { return trace.NewBlockTrace(accs)
 // *TraceReader, a BlockTrace cursor) is returned unwrapped.
 func AsBlockSource(src Source) BlockSource { return trace.Blocks(src) }
 
-// AsSource adapts a BlockSource back to a per-access Source — the
-// lossless inverse of AsBlockSource.
-func AsSource(bs BlockSource) Source { return trace.Unblock(bs) }
-
 // NewArena creates a shared trace cache for use with WithSharedTrace:
 // every Runner (or Sweep grid) handed the same arena generates each
 // (workload, seed, length) trace exactly once and replays a shared
 // read-only slice thereafter.
 func NewArena() *Arena { return trace.NewArena() }
 
-// ReadTraceFile loads up to max accesses (0 = all) from a binary trace
-// file (either format version) written by NewTraceWriter / cmd/tracegen.
-func ReadTraceFile(path string, max int) ([]Access, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := trace.NewReader(f)
-	accs := trace.Collect(r, max)
-	if r.Err() != nil {
-		return nil, fmt.Errorf("reading trace %s: %w", path, r.Err())
-	}
-	return accs, nil
-}
-
 // ReadTraceFileBlocks loads up to max accesses (0 = all) from a binary
-// trace file directly into a columnar BlockTrace — the compact resident
-// form the Runner replays. A v2 file decodes frame-by-frame into blocks
-// with no intermediate []Access.
+// trace file (either format version) written by NewTraceWriter /
+// cmd/tracegen directly into a columnar BlockTrace — the compact resident
+// form the Runner replays through WithBlockSourceFunc. A v2 file decodes
+// frame-by-frame into blocks with no intermediate []Access.
 func ReadTraceFileBlocks(path string, max int) (*BlockTrace, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -233,7 +233,7 @@ func TestSweepCancellation(t *testing.T) {
 // surfaces its error.
 func TestSweepRunErrorPropagates(t *testing.T) {
 	bad, err := stems.New(
-		stems.WithSourceFunc(func() stems.Source { return nil }), // Run fails
+		stems.WithBlockSourceFunc(func() stems.BlockSource { return nil }), // Run fails
 		stems.WithPredictor("none"),
 	)
 	if err != nil {
