@@ -1,9 +1,9 @@
 // Allocation-regression tests: the replay loop is the simulator's hot path
 // and is required to be allocation-free in steady state — predictor tables
-// index through flat pre-sized probe arrays (internal/flat), stream/SVB
-// storage is pooled, and generation records are recycled. A regression here
-// silently taxes every figure, sweep, and benchmark, so it fails loudly
-// instead.
+// index through flat probe arrays (internal/flat) that grow during warm-up
+// and then stay put, stream/SVB storage is pooled, and generation and
+// correlation records are recycled. A regression here silently taxes every
+// figure, sweep, and benchmark, so it fails loudly instead.
 package stems_test
 
 import (
@@ -20,6 +20,11 @@ import (
 // through it so every table is at capacity, every pool is populated, and
 // every scratch buffer has reached its high-water mark.
 func warmSTeMSMachine(t *testing.T) (*sim.Machine, []trace.Access) {
+	return warmMachine(t, sim.KindSTeMS)
+}
+
+// warmMachine is warmSTeMSMachine for any registered kind.
+func warmMachine(t *testing.T, kind sim.Kind) (*sim.Machine, []trace.Access) {
 	t.Helper()
 	spec, err := workload.ByName("DB2")
 	if err != nil {
@@ -28,7 +33,7 @@ func warmSTeMSMachine(t *testing.T) (*sim.Machine, []trace.Access) {
 	accs := spec.Generate(1, 200_000)
 	opt := sim.DefaultOptions()
 	opt.System = config.ScaledSystem()
-	m, err := sim.Build(sim.KindSTeMS, opt)
+	m, err := sim.Build(kind, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,26 +66,31 @@ func TestMachineStepZeroAlloc(t *testing.T) {
 }
 
 // TestStepBlockZeroAlloc asserts the batched block kernel stays
-// allocation-free in steady state: replaying arena-cached columnar blocks
-// through a warm STeMS machine must not touch the heap, or the sweep and
-// figure paths (which now ride RunBlocks) silently regress.
+// allocation-free in steady state for every registered kind: replaying
+// arena-cached columnar blocks through a warm machine must not touch the
+// heap, or the sweep and figure paths (which ride RunBlocks) silently
+// regress.
 func TestStepBlockZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
-	m, accs := warmSTeMSMachine(t)
-	bt := trace.NewBlockTrace(accs)
-	cur := 0
-	blocks := make([]*trace.Block, bt.NumBlocks())
-	for i := range blocks {
-		blocks[i] = bt.BlockAt(i)
-	}
-	avg := testing.AllocsPerRun(50, func() {
-		m.StepBlock(blocks[cur%len(blocks)])
-		cur++
-	})
-	if avg != 0 {
-		t.Fatalf("Machine.StepBlock allocated %.3f objects per steady-state block, want 0", avg)
+	for _, kind := range sim.AllKinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			m, accs := warmMachine(t, kind)
+			bt := trace.NewBlockTrace(accs)
+			cur := 0
+			blocks := make([]*trace.Block, bt.NumBlocks())
+			for i := range blocks {
+				blocks[i] = bt.BlockAt(i)
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				m.StepBlock(blocks[cur%len(blocks)])
+				cur++
+			})
+			if avg != 0 {
+				t.Fatalf("%s: Machine.StepBlock allocated %.3f objects per steady-state block, want 0", kind, avg)
+			}
+		})
 	}
 }
 
@@ -140,15 +150,15 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestLRUMapZeroAlloc asserts that lru.Map Get/Put perform no allocations
-// once the table is at capacity — the mix includes hits (recency refresh),
-// misses, and inserts that force LRU eviction.
+// TestLRUMapZeroAlloc asserts that lru.U64Map Get/Put perform no
+// allocations once the table has grown to capacity — the mix includes hits
+// (recency refresh), misses, and inserts that force LRU eviction.
 func TestLRUMapZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
 	const capacity = 1024
-	m := lru.New[uint64, uint64](capacity)
+	m := lru.NewU64[uint64](capacity)
 	for k := uint64(0); k < capacity; k++ {
 		m.Put(k, k)
 	}
@@ -162,7 +172,7 @@ func TestLRUMapZeroAlloc(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("lru.Map Get/Put allocated %.3f objects per 1000 ops at capacity, want 0", avg)
+		t.Fatalf("lru.U64Map Get/Put allocated %.3f objects per 1000 ops at capacity, want 0", avg)
 	}
 }
 
@@ -173,7 +183,7 @@ func TestLRUMapDeleteZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are unreliable under the race detector")
 	}
 	const capacity = 64
-	m := lru.New[uint64, int](capacity)
+	m := lru.NewU64[int](capacity)
 	for k := uint64(0); k < capacity; k++ {
 		m.Put(k, int(k))
 	}
@@ -186,6 +196,6 @@ func TestLRUMapDeleteZeroAlloc(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("lru.Map Delete/Put allocated %.3f objects per 256 ops, want 0", avg)
+		t.Fatalf("lru.U64Map Delete/Put allocated %.3f objects per 256 ops, want 0", avg)
 	}
 }

@@ -39,7 +39,7 @@ func (c *CorrDist) WithinWindow(w int) float64 {
 // history.
 type corrObserver struct {
 	tracker *GenTracker
-	prior   *lru.Map[GenKey, []int]
+	prior   *lru.U64Map[[]int] // keyed by GenKey.pack()
 	res     *CorrDist
 }
 
@@ -56,7 +56,7 @@ func (o *corrObserver) OnOffChipEvent(a trace.Access, covered bool) {
 // compare scores one finished generation against the prior sequence for
 // its index.
 func (o *corrObserver) compare(g Generation) {
-	prior, ok := o.prior.Get(g.Key)
+	prior, ok := o.prior.Get(g.Key.pack())
 	if ok && len(g.Seq) >= 2 {
 		o.res.Generations++
 		pos := make(map[int]int, len(prior))
@@ -74,7 +74,7 @@ func (o *corrObserver) compare(g Generation) {
 			o.res.Hist.Add(pb - pa)
 		}
 	}
-	o.prior.Put(g.Key, g.Seq)
+	o.prior.Put(g.Key.pack(), g.Seq)
 }
 
 // CorrDistCollector exposes the Figure 8 study as a panel machine
@@ -90,7 +90,7 @@ type CorrDistCollector struct {
 func NewCorrDistCollector(sys config.System) *CorrDistCollector {
 	obs := &corrObserver{
 		tracker: NewGenTracker(),
-		prior:   lru.New[GenKey, []int](1 << 16),
+		prior:   lru.NewU64[[]int](1 << 16),
 		res:     &CorrDist{Hist: stats.NewHist(-32, 32)},
 	}
 	obs.tracker.OnEnd = obs.compare

@@ -18,6 +18,12 @@ type GenKey struct {
 	Offset int
 }
 
+// pack folds a GenKey into one word, the offset in the low 5 bits and the
+// PC above them — core.Key's packing, injective for any PC below 2^59.
+func (k GenKey) pack() uint64 {
+	return k.PC<<mem.RegionBlockBits | uint64(k.Offset&(mem.RegionBlocks-1))
+}
+
 // Generation describes one finished spatial generation.
 type Generation struct {
 	Region mem.Addr

@@ -67,6 +67,13 @@ type Cache struct {
 	// spatial predictors use this to terminate generations.
 	OnEvict func(block mem.Addr)
 
+	// A missing Access hands the way its Fill should replace to the Fill
+	// that follows, so a miss scans its set once per level: pendBlock is
+	// the missed block and pendWay the victim way, or -1 when there is no
+	// hand-off. Any other mutation clears it.
+	pendBlock mem.Addr
+	pendWay   int
+
 	hits, misses uint64
 }
 
@@ -85,6 +92,7 @@ func New(cfg Config) *Cache {
 		lrus:    make([]uint64, sets*cfg.Ways),
 		valid:   make([]uint64, sets),
 		dirty:   make([]uint64, sets),
+		pendWay: -1,
 	}
 }
 
@@ -127,45 +135,54 @@ func (c *Cache) Access(addr mem.Addr, write bool) bool {
 				c.dirty[set] |= 1 << uint(i)
 			}
 			c.hits++
+			c.pendWay = -1
 			return true
 		}
 	}
 	c.misses++
+	c.pendBlock, c.pendWay = block, c.victim(base, vm)
 	return false
+}
+
+// victim returns the way a fill of the set at base replaces: the lowest
+// invalid way, else the least recently used one.
+func (c *Cache) victim(base int, vm uint64) int {
+	if invalid := ^vm & (1<<uint(c.ways) - 1); invalid != 0 {
+		return bits.TrailingZeros64(invalid)
+	}
+	lrus := c.lrus[base : base+c.ways]
+	v := 0
+	for i, l := range lrus {
+		if l < lrus[v] {
+			v = i
+		}
+	}
+	return v
 }
 
 // Fill installs the block holding addr, evicting the LRU way if the set is
 // full. Filling a block that is already present refreshes it instead.
+// Right after a missing Access to the same block, with nothing mutated in
+// between, the set is not scanned again: the miss already chose the way.
 func (c *Cache) Fill(addr mem.Addr, write bool) {
 	block := addr.Block()
 	set := block.BlockIndex() & c.setMask
 	vm := c.valid[set]
 	base := int(set) * c.ways
 	c.stamp++
-	victim := 0
-	firstInvalid := -1
-	for i, t := range c.tags[base : base+c.ways] {
-		if vm>>uint(i)&1 == 0 {
-			if firstInvalid < 0 {
-				// The preferred victim, but keep scanning for the tag.
-				firstInvalid = i
+	victim := c.pendWay
+	c.pendWay = -1
+	if victim < 0 || c.pendBlock != block {
+		for i, t := range c.tags[base : base+c.ways] {
+			if t == block && vm>>uint(i)&1 != 0 {
+				c.lrus[base+i] = c.stamp
+				if write {
+					c.dirty[set] |= 1 << uint(i)
+				}
+				return
 			}
-			continue
 		}
-		if t == block {
-			c.lrus[base+i] = c.stamp
-			if write {
-				c.dirty[set] |= 1 << uint(i)
-			}
-			return
-		}
-		if vm>>uint(victim)&1 != 0 && c.lrus[base+i] < c.lrus[base+victim] {
-			victim = i
-		}
-	}
-	// Prefer any invalid way over evicting.
-	if firstInvalid >= 0 {
-		victim = firstInvalid
+		victim = c.victim(base, vm)
 	}
 	if vm>>uint(victim)&1 != 0 && c.OnEvict != nil {
 		c.OnEvict(c.tags[base+victim])
@@ -185,6 +202,7 @@ func (c *Cache) Fill(addr mem.Addr, write bool) {
 // generation ends "when one of the accessed blocks is evicted or
 // invalidated from the L1 cache" (§2.4).
 func (c *Cache) Invalidate(addr mem.Addr) bool {
+	c.pendWay = -1
 	block := addr.Block()
 	set := block.BlockIndex() & c.setMask
 	vm := c.valid[set]

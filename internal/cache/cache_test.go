@@ -162,45 +162,89 @@ func TestFillThenHitProperty(t *testing.T) {
 }
 
 // Property: the cache models a true LRU set — simulate against a reference
-// model on a single set.
+// model on a single set, at several associativities. Between a miss and
+// its fill the driver interleaves Contains (which must not disturb the
+// miss's victim hand-off) and Invalidate (which must cancel it, since the
+// fill then belongs in the freed way), and sometimes drops the fill
+// altogether so the next miss starts a new hand-off. Every eviction must
+// name the reference's LRU block and fire before the new block is
+// installed.
 func TestLRUMatchesReferenceModel(t *testing.T) {
-	const ways = 4
-	c := New(Config{SizeBytes: ways * 64, Ways: ways}) // one set
-	var ref []mem.Addr                                 // front = LRU, back = MRU
-	refTouch := func(b mem.Addr) {
-		for i, x := range ref {
-			if x == b {
-				ref = append(append(ref[:i:i], ref[i+1:]...), b)
-				return
-			}
-		}
-		if len(ref) == ways {
-			ref = ref[1:]
-		}
-		ref = append(ref, b)
-	}
-	rng := rand.New(rand.NewSource(42))
-	for i := 0; i < 5000; i++ {
-		b := mem.Addr(rng.Intn(8) * 64)
-		if c.Access(b, false) {
-			refTouch(b)
-		} else {
-			c.Fill(b, false)
-			refTouch(b)
-		}
-		// Cross-check presence.
-		inRef := func(b mem.Addr) bool {
-			for _, x := range ref {
+	for _, ways := range []int{1, 2, 8, 64} {
+		c := New(Config{SizeBytes: ways * 64, Ways: ways}) // one set
+		var ref []mem.Addr                                 // front = LRU, back = MRU
+		refIndex := func(b mem.Addr) int {
+			for i, x := range ref {
 				if x == b {
-					return true
+					return i
 				}
+			}
+			return -1
+		}
+		refRemove := func(b mem.Addr) bool {
+			if i := refIndex(b); i >= 0 {
+				ref = append(ref[:i:i], ref[i+1:]...)
+				return true
 			}
 			return false
 		}
-		for blk := 0; blk < 8; blk++ {
-			b := mem.Addr(blk * 64)
-			if c.Contains(b) != inRef(b) {
-				t.Fatalf("step %d: Contains(%d)=%v, ref=%v", i, b, c.Contains(b), inRef(b))
+		var filling mem.Addr
+		inFill := false
+		var evicted []mem.Addr
+		c.OnEvict = func(b mem.Addr) {
+			if inFill && (!c.Contains(b) || c.Contains(filling)) {
+				t.Fatalf("ways=%d: eviction of %d fired after the install of %d", ways, b, filling)
+			}
+			evicted = append(evicted, b)
+		}
+		blocks := 2*ways + 1
+		rng := rand.New(rand.NewSource(int64(42 + ways)))
+		for step := 0; step < 20000; step++ {
+			b := mem.Addr(rng.Intn(blocks) * 64)
+			if c.Access(b, false) {
+				refRemove(b)
+				ref = append(ref, b)
+			} else {
+				if refIndex(b) >= 0 {
+					t.Fatalf("ways=%d step %d: Access(%d) missed a resident block", ways, step, b)
+				}
+				for n := rng.Intn(3); n > 0; n-- {
+					x := mem.Addr(rng.Intn(blocks) * 64)
+					if rng.Intn(2) == 0 {
+						if c.Contains(x) != (refIndex(x) >= 0) {
+							t.Fatalf("ways=%d step %d: Contains(%d) disagrees between miss and fill", ways, step, x)
+						}
+						continue
+					}
+					evicted = evicted[:0]
+					if c.Invalidate(x) != refRemove(x) {
+						t.Fatalf("ways=%d step %d: Invalidate(%d) disagrees", ways, step, x)
+					}
+					if len(evicted) > 1 || (len(evicted) == 1 && evicted[0] != x) {
+						t.Fatalf("ways=%d step %d: Invalidate(%d) reported %v", ways, step, x, evicted)
+					}
+				}
+				if rng.Intn(8) == 0 {
+					continue // a miss with no fill; the next access starts afresh
+				}
+				var want []mem.Addr
+				if len(ref) == ways {
+					want = []mem.Addr{ref[0]}
+					ref = ref[1:]
+				}
+				ref = append(ref, b)
+				filling, evicted, inFill = b, evicted[:0], true
+				c.Fill(b, false)
+				inFill = false
+				if len(evicted) != len(want) || (len(want) == 1 && evicted[0] != want[0]) {
+					t.Fatalf("ways=%d step %d: Fill(%d) evicted %v, reference LRU victim %v", ways, step, b, evicted, want)
+				}
+			}
+			for blk := 0; blk < blocks; blk++ {
+				x := mem.Addr(blk * 64)
+				if c.Contains(x) != (refIndex(x) >= 0) {
+					t.Fatalf("ways=%d step %d: Contains(%d)=%v, ref=%v", ways, step, x, c.Contains(x), ref)
+				}
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // transfer callback supplied by the simulator, so metadata traffic competes
 // with demand and prefetch traffic for channels.
 type MetaModel struct {
-	cache *lru.Map[uint64, struct{}]
+	cache *lru.U64Map[struct{}]
 	// Transfer is invoked for every metadata block fetched from memory;
 	// the simulator charges a memory-channel slot.
 	Transfer func()
@@ -41,7 +41,7 @@ func NewMetaModel(sizeBytes int) *MetaModel {
 	if blocks <= 0 {
 		blocks = 1
 	}
-	return &MetaModel{cache: lru.New[uint64, struct{}](blocks)}
+	return &MetaModel{cache: lru.NewU64[struct{}](blocks)}
 }
 
 // touch references one metadata block, fetching it on a miss.

@@ -18,7 +18,9 @@ type Key struct {
 // the region offset occupies the low 5 bits, the PC the rest. Injective
 // for any PC below 2^59 — instruction addresses are at most 57-bit virtual
 // addresses on today's largest machines, and the synthetic suite's PCs are
-// tiny — so table behavior is identical to keying on the struct.
+// tiny — so table behavior is identical to keying on the struct. SMS's
+// PHT (sms.Key) and Figure 8's per-index history (analysis.GenKey) pack
+// their lookup indexes the same way, under the same precondition.
 func (k Key) pack() uint64 {
 	return k.PC<<mem.RegionBlockBits | uint64(k.Offset&(mem.RegionBlocks-1))
 }

@@ -203,19 +203,14 @@ func (rc *Reconstructor) Window(pos *uint64, onRegion func(region mem.Addr, k Ke
 	// so the ring is read directly with the At validity check hoisted out
 	// of the loop.
 	rmob := rc.rmob
-	ring := rmob.ring
-	hi := rmob.appends
-	lo := uint64(0)
-	if hi > uint64(len(ring)) {
-		lo = hi - uint64(len(ring))
-	}
+	ring := rmob.Entries()
+	lo, hi := rmob.Live()
 	p := *pos
 	if p < lo || p >= hi {
 		return nil
 	}
 	batch := rc.batch
 	bufSlots := rc.bufSlots
-	rmask := rmob.mask
 	t := rc.pst.table
 	batch.epoch++
 	if batch.epoch == 0 { // stamp wraparound: invalidate everything once
@@ -255,12 +250,7 @@ func (rc *Reconstructor) Window(pos *uint64, onRegion func(region mem.Addr, k Ke
 	prevGrp := int32(-1)
 	prevJ := int32(-1)
 	for ; p < hi; p++ {
-		var e RMOBEntry
-		if rmask != 0 {
-			e = ring[p&rmask]
-		} else {
-			e = ring[p%uint64(len(ring))]
-		}
+		e := ring[rmob.Slot(p)]
 		slot := 0
 		if !first {
 			slot = prevTrig + 1 + int(e.Delta)

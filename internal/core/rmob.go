@@ -21,115 +21,11 @@ type RMOBEntry struct {
 // spatially-unpredicted misses, plus an index mapping each block address to
 // its most recent position. Spatially predictable misses are filtered out,
 // which is why the paper's RMOB (128K entries) is one third the size of
-// TMS's CMOB (§4.3).
-//
-// The index is an open-addressed flat table (it sits on the per-miss path)
-// with headroom beyond the ring size so it absorbs lapped-but-undeleted
-// keys. When it fills with stale mappings it is rebuilt from the live ring
-// — an O(ring) sweep amortized over at least a quarter-ring of appends —
-// so Append/Lookup never allocate.
-type RMOB struct {
-	ring    []RMOBEntry
-	mask    uint64 // len(ring)-1 when the ring is a power of two, else 0
-	appends uint64
-	index   *flat.U64Table[uint64]
+// TMS's CMOB (§4.3). It is the miss-order ring every temporal predictor
+// shares (flat.Ring), keyed by block address.
+type RMOB = flat.Ring[mem.Addr, RMOBEntry]
 
-	staleLookups uint64
-	reindexes    uint64
-}
-
-// NewRMOB creates a buffer with the given entry capacity.
+// NewRMOB creates a buffer holding at most entries entries.
 func NewRMOB(entries int) *RMOB {
-	if entries <= 0 {
-		panic("core: non-positive RMOB capacity")
-	}
-	r := &RMOB{
-		ring: make([]RMOBEntry, entries),
-		// Capacity 1.25x the ring: live keys never exceed the ring size,
-		// so every reindex frees at least a quarter-ring of insert room.
-		index: flat.NewU64Table[uint64](entries + entries/4),
-	}
-	if entries&(entries-1) == 0 {
-		r.mask = uint64(entries - 1)
-	}
-	return r
+	return flat.NewRing(entries, func(e RMOBEntry) mem.Addr { return e.Block })
 }
-
-// slot maps an absolute position onto the ring. The paper's sizes are
-// powers of two, where the mask avoids a hardware divide on a path taken
-// several times per simulated access.
-func (r *RMOB) slot(pos uint64) uint64 {
-	if r.mask != 0 {
-		return pos & r.mask
-	}
-	return pos % uint64(len(r.ring))
-}
-
-// Append records an entry and indexes it as the most recent occurrence of
-// its block.
-func (r *RMOB) Append(e RMOBEntry) {
-	r.ring[r.slot(r.appends)] = e
-	if r.index.Full() {
-		r.reindex()
-	}
-	r.index.Put(uint64(e.Block), r.appends)
-	r.appends++
-}
-
-// reindex rebuilds the address index from the live ring contents, shedding
-// every mapping the ring has lapped. Live entries number at most len(ring),
-// below the index capacity, so the rebuilt table is never full.
-func (r *RMOB) reindex() {
-	r.index.Clear()
-	start := uint64(0)
-	if r.appends > uint64(len(r.ring)) {
-		start = r.appends - uint64(len(r.ring))
-	}
-	for p := start; p < r.appends; p++ {
-		// Later positions overwrite earlier ones, leaving each block
-		// mapped to its most recent live occurrence.
-		r.index.Put(uint64(r.ring[r.slot(p)].Block), p)
-	}
-	r.reindexes++
-}
-
-// Lookup returns the most recent live position of block. Stale index
-// entries (lapped by the ring) are detected and discarded.
-func (r *RMOB) Lookup(block mem.Addr) (uint64, bool) {
-	pos, ok := r.index.Get(uint64(block))
-	if !ok {
-		return 0, false
-	}
-	if r.appends-pos > uint64(len(r.ring)) || r.ring[r.slot(pos)].Block != block {
-		r.staleLookups++
-		r.index.Delete(uint64(block))
-		return 0, false
-	}
-	return pos, true
-}
-
-// At returns the entry at an absolute position; ok is false if the position
-// has been overwritten or not yet written.
-func (r *RMOB) At(pos uint64) (RMOBEntry, bool) {
-	if pos >= r.appends || r.appends-pos > uint64(len(r.ring)) {
-		return RMOBEntry{}, false
-	}
-	return r.ring[r.slot(pos)], true
-}
-
-// Appends returns the total number of entries ever appended.
-func (r *RMOB) Appends() uint64 { return r.appends }
-
-// Len returns the number of live entries.
-func (r *RMOB) Len() int {
-	if r.appends < uint64(len(r.ring)) {
-		return int(r.appends)
-	}
-	return len(r.ring)
-}
-
-// StaleLookups returns the number of index entries found lapped.
-func (r *RMOB) StaleLookups() uint64 { return r.staleLookups }
-
-// Reindexes returns the number of in-place index rebuilds.
-func (r *RMOB) Reindexes() uint64 { return r.reindexes }

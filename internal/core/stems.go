@@ -12,6 +12,13 @@
 // the deltas (Figure 5), then streams the result through stream queues and
 // the streamed value buffer. Compulsory-miss regions are covered by
 // spatial-only streams (§4.2).
+//
+// The configured structure sizes — the 128K-entry RMOB, the 16K-entry
+// PST, the 64-entry AGT — are the paper's hardware capacities (§4.3), and
+// here they are bounds, not allocations: each table starts small and
+// grows as a run fills it (see internal/flat), so a short run holds only
+// what it records while every prediction stays exactly what full-size
+// tables would make.
 package core
 
 import (

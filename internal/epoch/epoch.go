@@ -49,11 +49,15 @@ type Stats struct {
 type Epoch struct {
 	cfg    Config
 	engine *stream.Engine
-	table  *lru.Map[mem.Addr, *entry]
+	table  *lru.U64Map[entry] // keyed by uint64(lead)
 
 	curLead   mem.Addr
 	curBlocks []mem.Addr
 	haveEpoch bool
+	// spare is the membership storage of the last entry the table
+	// displaced, reused by the next new lead so a full table commits
+	// epochs without allocating.
+	spare []mem.Addr
 
 	stats Stats
 }
@@ -67,7 +71,7 @@ func New(cfg Config, engine *stream.Engine) *Epoch {
 	return &Epoch{
 		cfg:    cfg,
 		engine: engine,
-		table:  lru.New[mem.Addr, *entry](cfg.TableEntries),
+		table:  lru.NewU64[entry](cfg.TableEntries),
 	}
 }
 
@@ -119,13 +123,26 @@ func (e *Epoch) commitEpoch(nextLead mem.Addr) {
 		return
 	}
 	e.stats.Epochs++
-	blocks := make([]mem.Addr, len(e.curBlocks))
-	copy(blocks, e.curBlocks)
 	// Keyed by the finished epoch's lead, the record holds that epoch's
 	// own membership plus the successor's lead: everything a prefetcher
 	// should fetch when this lead misses again, with the chain pointer to
-	// keep walking for deeper timeliness.
-	e.table.Put(e.curLead, &entry{nextLead: nextLead, blocks: blocks})
+	// keep walking for deeper timeliness. A known lead is rewritten in
+	// place, which is exactly a Put of the new record.
+	if ent, ok := e.table.GetRef(uint64(e.curLead)); ok {
+		ent.nextLead = nextLead
+		ent.blocks = append(ent.blocks[:0], e.curBlocks...)
+		return
+	}
+	blocks := e.spare
+	if cap(blocks) < len(e.curBlocks) {
+		blocks = make([]mem.Addr, 0, e.cfg.MaxEpochLen)
+	}
+	blocks = append(blocks[:0], e.curBlocks...)
+	if _, victim, ev := e.table.Put(uint64(e.curLead), entry{nextLead: nextLead, blocks: blocks}); ev {
+		e.spare = victim.blocks
+	} else {
+		e.spare = nil
+	}
 }
 
 // predict walks the correlation chain from lead and prefetches the stored
@@ -136,7 +153,7 @@ func (e *Epoch) predict(lead mem.Addr) {
 	}
 	cur := lead
 	for depth := 0; depth < e.cfg.EpochsAhead; depth++ {
-		ent, ok := e.table.Get(cur)
+		ent, ok := e.table.Get(uint64(cur))
 		if !ok {
 			return
 		}

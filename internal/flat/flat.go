@@ -1,28 +1,24 @@
-// Package flat provides a compact open-addressed hash table used on the
-// simulator's hottest paths in place of Go's built-in map. The replay loop
+// Package flat provides the simulator's uint64-keyed table family: U64Table,
+// a compact open-addressed hash table used on the hottest paths in place of
+// Go's built-in map, and Ring, the miss-order ring that TMS's CMOB, STeMS's
+// RMOB and the naive hybrid's trigger sequence share. The replay loop
 // performs several table operations per simulated access (LRU predictor
-// tables, the RMOB/CMOB address indexes, SVB residency, reconstruction
-// dedup); Go maps hash through an interface, allocate buckets on growth,
-// and defeat prefetching with pointer-chased overflow cells. Table instead
-// keys a pair of flat arrays with linear probing and backward-shift
-// deletion — the index-linked contiguous layout that parHSOM-style
-// flattening uses to make pointer structures hardware-friendly — and
-// performs zero allocations after construction as long as the caller keeps
-// the live-key count within Cap.
+// tables, the ring indexes, SVB residency, reconstruction dedup); Go maps
+// hash through an interface, allocate buckets on growth, and defeat
+// prefetching with pointer-chased overflow cells. U64Table instead keys one
+// flat slot array with linear probing and backward-shift deletion — the
+// index-linked contiguous layout that parHSOM-style flattening uses to make
+// pointer structures hardware-friendly.
+//
+// Tables are sized by what a run holds. A predictor's configured capacity
+// (a §4.3 hardware size such as the 384K-entry CMOB) is a bound, not an
+// allocation: rings, their indexes and the LRU maps built on U64Table
+// start small and double as a run inserts, up to that bound. A short run
+// allocates only what it touches; a long one reaches the bound during
+// warm-up, after which the steady state allocates nothing. Growth never
+// changes behaviour — every lookup answers exactly as a table allocated
+// at full size would.
 package flat
-
-import "hash/maphash"
-
-// Table is a fixed-geometry open-addressed hash table with linear probing.
-// The zero value is not usable; call NewTable. Not safe for concurrent use.
-type Table[K comparable, V any] struct {
-	hash func(K) uint64
-	keys []K
-	vals []V
-	used []bool
-	mask uint64
-	n    int
-}
 
 // Hash64 is a fast full-avalanche mix (the splitmix64 finalizer) for
 // tables keyed by addresses, positions, or other machine words. It is
@@ -38,192 +34,15 @@ func Hash64(x uint64) uint64 {
 	return x
 }
 
-// NewTable creates a table that holds up to capacity live keys without
-// growing, hashing with the generic maphash.Comparable. The probe array is
-// sized to the next power of two at or above twice the capacity, bounding
-// the load factor at 1/2.
-func NewTable[K comparable, V any](capacity int) *Table[K, V] {
-	seed := maphash.MakeSeed()
-	return NewTableWith[K, V](capacity, func(k K) uint64 {
-		return maphash.Comparable(seed, k)
-	})
-}
-
-// NewTableWith is NewTable with a caller-supplied hash function — the hot
-// tables keyed by block addresses or PCs pass a Hash64-based mix instead
-// of paying the maphash generic dispatch.
-func NewTableWith[K comparable, V any](capacity int, hash func(K) uint64) *Table[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	size := uint64(8)
-	for size < 2*uint64(capacity) {
-		size <<= 1
-	}
-	return &Table[K, V]{
-		hash: hash,
-		keys: make([]K, size),
-		vals: make([]V, size),
-		used: make([]bool, size),
-		mask: size - 1,
-	}
-}
-
-// Len returns the number of live keys.
-func (t *Table[K, V]) Len() int { return t.n }
-
-// Cap returns the number of live keys the table holds before Put grows it:
-// half the probe-array size, so probes stay short.
-func (t *Table[K, V]) Cap() int { return int((t.mask + 1) / 2) }
-
-// Full reports whether the next insert of a new key would grow the table.
-// Callers that must stay allocation-free (e.g. the RMOB index) check this
-// and shed stale keys instead of growing.
-func (t *Table[K, V]) Full() bool { return t.n >= t.Cap() }
-
-func (t *Table[K, V]) home(k K) uint64 {
-	return t.hash(k) & t.mask
-}
-
-// Get returns the value stored for k.
-func (t *Table[K, V]) Get(k K) (V, bool) {
-	for i := t.home(k); t.used[i]; i = (i + 1) & t.mask {
-		if t.keys[i] == k {
-			return t.vals[i], true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
-// Has reports whether k is present.
-func (t *Table[K, V]) Has(k K) bool {
-	for i := t.home(k); t.used[i]; i = (i + 1) & t.mask {
-		if t.keys[i] == k {
-			return true
-		}
-	}
-	return false
-}
-
-// Put inserts or updates k. Inserting a new key beyond Cap doubles the
-// probe array (an allocation); size the table for its worst-case live set
-// to keep the steady state allocation-free.
-func (t *Table[K, V]) Put(k K, v V) {
-	i := t.home(k)
-	for t.used[i] {
-		if t.keys[i] == k {
-			t.vals[i] = v
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	if t.Full() {
-		t.grow()
-		i = t.home(k)
-		for t.used[i] {
-			i = (i + 1) & t.mask
-		}
-	}
-	t.keys[i], t.vals[i], t.used[i] = k, v, true
-	t.n++
-}
-
-// Add inserts k with a zero value if absent, reporting whether it
-// inserted. It is the single-probe form of Has-then-Put for sets — the
-// reconstruction dedup filter runs it once per placed address.
-func (t *Table[K, V]) Add(k K) bool {
-	i := t.home(k)
-	for t.used[i] {
-		if t.keys[i] == k {
-			return false
-		}
-		i = (i + 1) & t.mask
-	}
-	if t.Full() {
-		t.grow()
-		i = t.home(k)
-		for t.used[i] {
-			i = (i + 1) & t.mask
-		}
-	}
-	var zero V
-	t.keys[i], t.vals[i], t.used[i] = k, zero, true
-	t.n++
-	return true
-}
-
-// Delete removes k, reporting whether it was present. Removal backward-
-// shifts the displaced run, so the table never accumulates tombstones.
-func (t *Table[K, V]) Delete(k K) bool {
-	for i := t.home(k); t.used[i]; i = (i + 1) & t.mask {
-		if t.keys[i] == k {
-			t.deleteAt(i)
-			return true
-		}
-	}
-	return false
-}
-
-// deleteAt empties slot i and compacts the probe run that follows it: any
-// entry whose home position is cyclically at or before the hole slides
-// back, preserving the invariant that every key is reachable from its home
-// slot through occupied slots only.
-func (t *Table[K, V]) deleteAt(i uint64) {
-	j := i
-	for {
-		j = (j + 1) & t.mask
-		if !t.used[j] {
-			break
-		}
-		h := t.home(t.keys[j])
-		// The entry at j may fill the hole at i iff its home precedes or
-		// equals i in cyclic probe order: (j-h) mod size >= (j-i) mod size.
-		if (j-h)&t.mask >= (j-i)&t.mask {
-			t.keys[i], t.vals[i] = t.keys[j], t.vals[j]
-			i = j
-		}
-	}
-	var zk K
-	var zv V
-	t.keys[i], t.vals[i], t.used[i] = zk, zv, false
-	t.n--
-}
-
-// Clear removes every key without releasing storage.
-func (t *Table[K, V]) Clear() {
-	clear(t.keys)
-	clear(t.vals)
-	clear(t.used)
-	t.n = 0
-}
-
-// grow doubles the probe array and rehashes every live entry.
-func (t *Table[K, V]) grow() {
-	oldKeys, oldVals, oldUsed := t.keys, t.vals, t.used
-	size := (t.mask + 1) << 1
-	t.keys = make([]K, size)
-	t.vals = make([]V, size)
-	t.used = make([]bool, size)
-	t.mask = size - 1
-	t.n = 0
-	for i, u := range oldUsed {
-		if u {
-			t.Put(oldKeys[i], oldVals[i])
-		}
-	}
-}
-
-// U64Table is Table monomorphized for uint64 keys (block addresses, ring
-// positions) with the Hash64 mix compiled directly into the probe loops —
-// no hash-function indirection. Key and value are interleaved in one slot
-// array so a probe touches a single cache line, and occupancy is a bitset
-// small enough to live in L1; the replay loop's hottest tables (the
-// reconstruction dedup set, the SVB index, the RMOB/CMOB address indexes,
-// the LRU-map indexes) perform tens of probes per simulated access, where
-// both the generic Table's hash indirection and its three-array layout
-// are measurable. Occupancy is tracked outside the slots, so every key
-// value (including 0) is valid.
+// U64Table is an open-addressed hash table keyed by uint64 (block
+// addresses, ring positions, packed lookup indexes) with the Hash64 mix
+// compiled directly into the probe loops — no hash-function indirection.
+// Key and value are interleaved in one slot array so a probe touches a
+// single cache line, and occupancy is a bitset small enough to live in L1;
+// the replay loop's hottest tables (the reconstruction dedup set, the SVB
+// index, the ring indexes, the LRU-map indexes) perform tens of probes per
+// simulated access. Occupancy is tracked outside the slots, so every key
+// value (including 0) is valid. Not safe for concurrent use.
 type U64Table[V any] struct {
 	slots []u64slot[V]
 	used  []uint64 // occupancy bitset, one bit per slot
@@ -237,15 +56,12 @@ type u64slot[V any] struct {
 }
 
 // NewU64Table creates a table holding up to capacity live keys without
-// growing; geometry matches NewTable.
+// growing: the probe array is the next power of two (at least 64) at or
+// above twice the capacity, bounding the load factor at 1/2. Inserting
+// beyond Cap doubles the array, so a table created small grows with its
+// contents.
 func NewU64Table[V any](capacity int) *U64Table[V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	size := uint64(64)
-	for size < 2*uint64(capacity) {
-		size <<= 1
-	}
+	size := tableSize(capacity)
 	return &U64Table[V]{
 		slots: make([]u64slot[V], size),
 		used:  make([]uint64, size/64),
@@ -261,6 +77,15 @@ func (t *U64Table[V]) Cap() int { return int((t.mask + 1) / 2) }
 
 // Full reports whether the next insert of a new key would grow the table.
 func (t *U64Table[V]) Full() bool { return t.n >= t.Cap() }
+
+// tableSize is the probe-array size NewU64Table uses for capacity keys.
+func tableSize(capacity int) uint64 {
+	size := uint64(64)
+	for size < 2*uint64(max(capacity, 1)) {
+		size <<= 1
+	}
+	return size
+}
 
 func (t *U64Table[V]) isUsed(i uint64) bool {
 	return t.used[i>>6]&(1<<(i&63)) != 0
@@ -290,7 +115,8 @@ func (t *U64Table[V]) Has(k uint64) bool {
 	return false
 }
 
-// Put inserts or updates k; geometry and growth match Table.Put.
+// Put inserts or updates k. Inserting a new key into a full table doubles
+// the probe array (an allocation).
 func (t *U64Table[V]) Put(k uint64, v V) {
 	i := Hash64(k) & t.mask
 	for t.isUsed(i) {
@@ -310,29 +136,6 @@ func (t *U64Table[V]) Put(k uint64, v V) {
 	t.slots[i] = u64slot[V]{key: k, val: v}
 	t.setUsed(i)
 	t.n++
-}
-
-// Add inserts k with a zero value if absent, reporting whether it inserted.
-func (t *U64Table[V]) Add(k uint64) bool {
-	i := Hash64(k) & t.mask
-	for t.isUsed(i) {
-		if t.slots[i].key == k {
-			return false
-		}
-		i = (i + 1) & t.mask
-	}
-	if t.Full() {
-		t.grow()
-		i = Hash64(k) & t.mask
-		for t.isUsed(i) {
-			i = (i + 1) & t.mask
-		}
-	}
-	var zero V
-	t.slots[i] = u64slot[V]{key: k, val: zero}
-	t.setUsed(i)
-	t.n++
-	return true
 }
 
 // Ref returns a pointer to k's value, inserting a zero value first if k is
@@ -360,7 +163,8 @@ func (t *U64Table[V]) Ref(k uint64) *V {
 	return &t.slots[i].val
 }
 
-// Delete removes k with backward-shift compaction, like Table.Delete.
+// Delete removes k, reporting whether it was present. Removal backward-
+// shifts the displaced run, so the table never accumulates tombstones.
 func (t *U64Table[V]) Delete(k uint64) bool {
 	for i := Hash64(k) & t.mask; t.isUsed(i); i = (i + 1) & t.mask {
 		if t.slots[i].key == k {
@@ -371,6 +175,10 @@ func (t *U64Table[V]) Delete(k uint64) bool {
 	return false
 }
 
+// deleteAt empties slot i and compacts the probe run that follows it: any
+// entry whose home position is cyclically at or before the hole slides
+// back, preserving the invariant that every key is reachable from its home
+// slot through occupied slots only.
 func (t *U64Table[V]) deleteAt(i uint64) {
 	j := i
 	for {
@@ -379,6 +187,8 @@ func (t *U64Table[V]) deleteAt(i uint64) {
 			break
 		}
 		h := Hash64(t.slots[j].key) & t.mask
+		// The entry at j may fill the hole at i iff its home precedes or
+		// equals i in cyclic probe order: (j-h) mod size >= (j-i) mod size.
 		if (j-h)&t.mask >= (j-i)&t.mask {
 			t.slots[i] = t.slots[j]
 			i = j
@@ -407,6 +217,7 @@ func (t *U64Table[V]) Reset() {
 	t.n = 0
 }
 
+// grow doubles the probe array and rehashes every live entry.
 func (t *U64Table[V]) grow() {
 	oldSlots, oldUsed := t.slots, t.used
 	size := (t.mask + 1) << 1

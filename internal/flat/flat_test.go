@@ -6,7 +6,7 @@ import (
 )
 
 func TestPutGetDelete(t *testing.T) {
-	tb := NewTable[uint64, int](8)
+	tb := NewU64Table[int](8)
 	if _, ok := tb.Get(1); ok {
 		t.Fatal("Get on empty table succeeded")
 	}
@@ -28,31 +28,31 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestGrowBeyondCapacity(t *testing.T) {
-	tb := NewTable[int, int](4)
+	tb := NewU64Table[int](4)
 	for i := 0; i < 1000; i++ {
-		tb.Put(i, i*3)
+		tb.Put(uint64(i), i*3)
 	}
 	if tb.Len() != 1000 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
 	for i := 0; i < 1000; i++ {
-		if v, ok := tb.Get(i); !ok || v != i*3 {
+		if v, ok := tb.Get(uint64(i)); !ok || v != i*3 {
 			t.Fatalf("Get(%d) = %d,%v after grow", i, v, ok)
 		}
 	}
 }
 
 func TestClear(t *testing.T) {
-	tb := NewTable[int, int](16)
+	tb := NewU64Table[int](16)
 	for i := 0; i < 16; i++ {
-		tb.Put(i, i)
+		tb.Put(uint64(i), i)
 	}
 	tb.Clear()
 	if tb.Len() != 0 {
 		t.Fatalf("Len after Clear = %d", tb.Len())
 	}
 	for i := 0; i < 16; i++ {
-		if tb.Has(i) {
+		if tb.Has(uint64(i)) {
 			t.Fatalf("key %d survived Clear", i)
 		}
 	}
@@ -67,7 +67,7 @@ func TestClear(t *testing.T) {
 // probe-run collisions) and require exact agreement with a Go map.
 func TestMatchesMapReference(t *testing.T) {
 	for _, keySpace := range []int{8, 64, 4096} {
-		tb := NewTable[uint64, int](32)
+		tb := NewU64Table[int](32)
 		ref := map[uint64]int{}
 		rng := rand.New(rand.NewSource(int64(keySpace)))
 		for step := 0; step < 50000; step++ {
@@ -103,18 +103,26 @@ func TestMatchesMapReference(t *testing.T) {
 	}
 }
 
+// Struct lookup indexes — a trigger PC and its region offset — key the
+// table packed into one word, PC above the 5 offset bits, as sms.Key and
+// core.Key pack them. Keys differing in either field must stay distinct.
 func TestStructKeys(t *testing.T) {
 	type key struct {
 		PC     uint64
 		Offset int
 	}
-	tb := NewTable[key, string](8)
-	tb.Put(key{1, 2}, "a")
-	tb.Put(key{1, 3}, "b")
-	if v, ok := tb.Get(key{1, 2}); !ok || v != "a" {
+	pack := func(k key) uint64 { return k.PC<<5 | uint64(k.Offset&31) }
+	tb := NewU64Table[string](8)
+	tb.Put(pack(key{1, 2}), "a")
+	tb.Put(pack(key{1, 3}), "b")
+	tb.Put(pack(key{2, 2}), "c")
+	if v, ok := tb.Get(pack(key{1, 2})); !ok || v != "a" {
 		t.Fatalf("struct key Get = %q,%v", v, ok)
 	}
-	if !tb.Delete(key{1, 3}) || tb.Has(key{1, 3}) {
+	if !tb.Delete(pack(key{1, 3})) || tb.Has(pack(key{1, 3})) {
 		t.Fatal("struct key Delete failed")
+	}
+	if v, ok := tb.Get(pack(key{2, 2})); !ok || v != "c" {
+		t.Fatalf("struct key with the same offset, other PC = %q,%v", v, ok)
 	}
 }

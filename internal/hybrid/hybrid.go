@@ -15,6 +15,7 @@ package hybrid
 
 import (
 	"stems/internal/config"
+	"stems/internal/flat"
 	"stems/internal/mem"
 	"stems/internal/sms"
 	"stems/internal/stream"
@@ -39,9 +40,9 @@ type Hybrid struct {
 	spatial *sms.SMS
 	engine  *stream.Engine
 
-	ring    []triggerEntry
-	appends uint64
-	index   map[mem.Addr]uint64
+	// triggers is the trigger sequence, indexed by block: the miss-order
+	// ring TMS's CMOB and STeMS's RMOB also use (flat.Ring).
+	triggers *flat.Ring[mem.Addr, triggerEntry]
 
 	burstTriggers int
 	lastTrigger   bool
@@ -58,10 +59,9 @@ func New(smsCfg config.SMS, tmsCfg config.TMS, engine *stream.Engine) *Hybrid {
 		tmsCfg = config.DefaultTMS()
 	}
 	return &Hybrid{
-		spatial: sms.New(smsCfg, engine),
-		engine:  engine,
-		ring:    make([]triggerEntry, tmsCfg.CMOBEntries),
-		index:   make(map[mem.Addr]uint64),
+		spatial:  sms.New(smsCfg, engine),
+		engine:   engine,
+		triggers: flat.NewRing(tmsCfg.CMOBEntries, func(e triggerEntry) mem.Addr { return e.block }),
 		// With no ordering information the naive design has to fetch the
 		// whole pool of addresses that will be needed "soon" (§3.1); a
 		// lookahead-and-a-half of triggers with their full patterns
@@ -74,7 +74,11 @@ func New(smsCfg config.SMS, tmsCfg config.TMS, engine *stream.Engine) *Hybrid {
 func (h *Hybrid) Name() string { return "naive-hybrid" }
 
 // Stats returns cumulative statistics.
-func (h *Hybrid) Stats() Stats { return h.stats }
+func (h *Hybrid) Stats() Stats {
+	s := h.stats
+	s.TriggerAppends = h.triggers.Appends()
+	return s
+}
 
 // SpatialStats exposes the embedded SMS statistics.
 func (h *Hybrid) SpatialStats() sms.Stats { return h.spatial.Stats() }
@@ -102,10 +106,10 @@ func (h *Hybrid) OnOffChipEvent(a trace.Access, covered bool) {
 	var prev uint64
 	prevOK := false
 	if !covered {
-		prev, prevOK = h.lookup(block)
+		prev, prevOK = h.triggers.Lookup(block)
 	}
 	if h.lastTrigger {
-		h.append(triggerEntry{block: block, pc: a.PC})
+		h.triggers.Append(triggerEntry{block: block, pc: a.PC})
 	}
 	if covered || !prevOK {
 		return
@@ -113,35 +117,15 @@ func (h *Hybrid) OnOffChipEvent(a trace.Access, covered bool) {
 	h.burst(prev + 1)
 }
 
-func (h *Hybrid) lookup(block mem.Addr) (uint64, bool) {
-	pos, ok := h.index[block]
-	if !ok {
-		return 0, false
-	}
-	if h.appends-pos > uint64(len(h.ring)) || h.ring[pos%uint64(len(h.ring))].block != block {
-		delete(h.index, block)
-		return 0, false
-	}
-	return pos, true
-}
-
-func (h *Hybrid) append(e triggerEntry) {
-	h.ring[h.appends%uint64(len(h.ring))] = e
-	h.index[e.block] = h.appends
-	h.appends++
-	h.stats.TriggerAppends++
-}
-
 // burst fetches the next burstTriggers triggers and all their spatial
 // pattern blocks at once — the unthrottled behavior that floods the SVB.
 func (h *Hybrid) burst(from uint64) {
 	h.stats.Bursts++
 	for i := 0; i < h.burstTriggers; i++ {
-		pos := from + uint64(i)
-		if pos >= h.appends || h.appends-pos > uint64(len(h.ring)) {
+		e, ok := h.triggers.At(from + uint64(i))
+		if !ok {
 			break
 		}
-		e := h.ring[pos%uint64(len(h.ring))]
 		h.engine.Direct(e.block)
 		h.stats.BurstBlocks++
 		if mask, ok := h.spatial.Pattern(e.pc, e.block.RegionOffset()); ok {

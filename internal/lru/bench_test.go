@@ -3,7 +3,7 @@ package lru
 import "testing"
 
 func BenchmarkPutGet(b *testing.B) {
-	m := New[uint64, int](16 << 10)
+	m := NewU64[int](16 << 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k := uint64(i) % (20 << 10) // mix of hits, misses, evictions

@@ -7,13 +7,13 @@ import (
 )
 
 func TestPutGet(t *testing.T) {
-	m := New[string, int](2)
-	m.Put("a", 1)
-	m.Put("b", 2)
-	if v, ok := m.Get("a"); !ok || v != 1 {
-		t.Fatalf("Get(a) = %d,%v", v, ok)
+	m := NewU64[int](2)
+	m.Put(1, 1)
+	m.Put(2, 2)
+	if v, ok := m.Get(1); !ok || v != 1 {
+		t.Fatalf("Get(1) = %d,%v", v, ok)
 	}
-	if _, ok := m.Get("c"); ok {
+	if _, ok := m.Get(3); ok {
 		t.Fatal("Get of absent key succeeded")
 	}
 	if m.Len() != 2 {
@@ -22,7 +22,7 @@ func TestPutGet(t *testing.T) {
 }
 
 func TestEvictionOrder(t *testing.T) {
-	m := New[int, int](2)
+	m := NewU64[int](2)
 	m.Put(1, 10)
 	m.Put(2, 20)
 	m.Get(1) // 2 is now LRU
@@ -36,7 +36,7 @@ func TestEvictionOrder(t *testing.T) {
 }
 
 func TestPeekDoesNotRefresh(t *testing.T) {
-	m := New[int, int](2)
+	m := NewU64[int](2)
 	m.Put(1, 10)
 	m.Put(2, 20)
 	m.Peek(1) // must NOT refresh; 1 stays LRU
@@ -47,7 +47,7 @@ func TestPeekDoesNotRefresh(t *testing.T) {
 }
 
 func TestPutUpdateRefreshes(t *testing.T) {
-	m := New[int, int](2)
+	m := NewU64[int](2)
 	m.Put(1, 10)
 	m.Put(2, 20)
 	m.Put(1, 11) // refresh 1; 2 becomes LRU
@@ -61,7 +61,7 @@ func TestPutUpdateRefreshes(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	m := New[int, int](4)
+	m := NewU64[int](4)
 	m.Put(1, 10)
 	if !m.Delete(1) {
 		t.Fatal("Delete of present key failed")
@@ -83,17 +83,17 @@ func TestDelete(t *testing.T) {
 }
 
 func TestEach(t *testing.T) {
-	m := New[int, int](3)
+	m := NewU64[int](3)
 	m.Put(1, 10)
 	m.Put(2, 20)
 	m.Put(3, 30)
 	m.Get(1) // MRU order: 1, 3, 2
-	var keys []int
-	m.Each(func(k, v int) bool {
+	var keys []uint64
+	m.Each(func(k uint64, v int) bool {
 		keys = append(keys, k)
 		return true
 	})
-	want := []int{1, 3, 2}
+	want := []uint64{1, 3, 2}
 	for i := range want {
 		if keys[i] != want[i] {
 			t.Fatalf("Each order = %v, want %v", keys, want)
@@ -101,14 +101,14 @@ func TestEach(t *testing.T) {
 	}
 	// Early termination.
 	n := 0
-	m.Each(func(k, v int) bool { n++; return false })
+	m.Each(func(k uint64, v int) bool { n++; return false })
 	if n != 1 {
 		t.Fatalf("Each early-stop visited %d", n)
 	}
 }
 
 func TestLRUKey(t *testing.T) {
-	m := New[int, int](3)
+	m := NewU64[int](3)
 	if _, ok := m.LRUKey(); ok {
 		t.Fatal("LRUKey on empty map")
 	}
@@ -122,17 +122,17 @@ func TestLRUKey(t *testing.T) {
 func TestNewPanicsOnZeroCap(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("New(0) did not panic")
+			t.Fatal("NewU64(0) did not panic")
 		}
 	}()
-	New[int, int](0)
+	NewU64[int](0)
 }
 
 // Property: the map never exceeds capacity and behaves identically to a
 // reference model under a random workload.
 func TestMatchesReferenceModel(t *testing.T) {
 	const capacity = 8
-	m := New[int, int](capacity)
+	m := NewU64[int](capacity)
 	type refEnt struct{ k, v int }
 	var ref []refEnt // front = LRU
 	refGet := func(k int) (int, bool) {
@@ -171,16 +171,16 @@ func TestMatchesReferenceModel(t *testing.T) {
 		k := rng.Intn(16)
 		switch rng.Intn(3) {
 		case 0:
-			m.Put(k, step)
+			m.Put(uint64(k), step)
 			refPut(k, step)
 		case 1:
-			gv, gok := m.Get(k)
+			gv, gok := m.Get(uint64(k))
 			rv, rok := refGet(k)
 			if gok != rok || (gok && gv != rv) {
 				t.Fatalf("step %d: Get(%d) = (%d,%v), ref (%d,%v)", step, k, gv, gok, rv, rok)
 			}
 		case 2:
-			if m.Delete(k) != refDel(k) {
+			if m.Delete(uint64(k)) != refDel(k) {
 				t.Fatalf("step %d: Delete(%d) mismatch", step, k)
 			}
 		}
@@ -194,7 +194,7 @@ func TestMatchesReferenceModel(t *testing.T) {
 // exactly the most recent `capacity` keys survive.
 func TestRetainsMostRecent(t *testing.T) {
 	f := func(keys []int16) bool {
-		m := New[int16, int](4)
+		m := NewU64[int](4)
 		seen := make(map[int16]bool)
 		var order []int16 // distinct keys in put order
 		for _, k := range keys {
@@ -202,7 +202,7 @@ func TestRetainsMostRecent(t *testing.T) {
 				seen[k] = true
 				order = append(order, k)
 			}
-			m.Put(k, 0)
+			m.Put(uint64(uint16(k)), 0)
 		}
 		// This property needs each key put exactly once; restrict input.
 		if len(order) != len(keys) {
@@ -213,7 +213,7 @@ func TestRetainsMostRecent(t *testing.T) {
 			start = len(order) - 4
 		}
 		for _, k := range order[start:] {
-			if _, ok := m.Peek(k); !ok {
+			if _, ok := m.Peek(uint64(uint16(k))); !ok {
 				return false
 			}
 		}
@@ -225,7 +225,7 @@ func TestRetainsMostRecent(t *testing.T) {
 }
 
 // refLRU is a deliberately naive reference implementation: a Go map plus a
-// recency-ordered slice. The open-addressed index inside Map must be
+// recency-ordered slice. The open-addressed index inside U64Map must be
 // observationally indistinguishable from it.
 type refLRU struct {
 	capacity int
@@ -294,44 +294,45 @@ func (r *refLRU) del(k int) bool {
 }
 
 // Property: under randomized Get/Peek/Put/Delete sequences — at several
-// capacities and key-space densities — the open-addressed Map agrees with
-// the reference on every return value, on eviction victims, on LRUKey, and
-// on full MRU-to-LRU iteration order. This is the regression net for the
-// probe table's backward-shift deletion.
+// capacities and key-space densities — the open-addressed U64Map agrees
+// with the reference on every return value, on eviction victims, on LRUKey,
+// and on full MRU-to-LRU iteration order. This is the regression net for
+// the probe table's backward-shift deletion and for growth: every capacity
+// above the starting room doubles its entries and index mid-run.
 func TestPropertyMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		capacity, keySpace int
 	}{
-		{1, 4}, {2, 8}, {7, 16}, {8, 8}, {64, 48}, {64, 256}, {257, 1024},
+		{1, 4}, {2, 8}, {7, 16}, {8, 8}, {64, 48}, {64, 256}, {257, 1024}, {1000, 3000},
 	} {
 		rng := rand.New(rand.NewSource(int64(tc.capacity*100000 + tc.keySpace)))
-		m := New[int, int](tc.capacity)
+		m := NewU64[int](tc.capacity)
 		ref := newRefLRU(tc.capacity)
 		for step := 0; step < 30000; step++ {
 			k := rng.Intn(tc.keySpace)
 			switch rng.Intn(5) {
 			case 0, 1:
-				gek, gev, gevicted := m.Put(k, step)
+				gek, gev, gevicted := m.Put(uint64(k), step)
 				rek, rev, revicted := ref.put(k, step)
-				if gevicted != revicted || (gevicted && (gek != rek || gev != rev)) {
+				if gevicted != revicted || (gevicted && (gek != uint64(rek) || gev != rev)) {
 					t.Fatalf("cap=%d space=%d step=%d: Put(%d) evicted (%d,%d,%v), ref (%d,%d,%v)",
 						tc.capacity, tc.keySpace, step, k, gek, gev, gevicted, rek, rev, revicted)
 				}
 			case 2:
-				gv, gok := m.Get(k)
+				gv, gok := m.Get(uint64(k))
 				rv, rok := ref.get(k)
 				if gok != rok || (gok && gv != rv) {
 					t.Fatalf("cap=%d space=%d step=%d: Get(%d) = (%d,%v), ref (%d,%v)",
 						tc.capacity, tc.keySpace, step, k, gv, gok, rv, rok)
 				}
 			case 3:
-				gv, gok := m.Peek(k)
+				gv, gok := m.Peek(uint64(k))
 				rv, rok := ref.peek(k)
 				if gok != rok || (gok && gv != rv) {
 					t.Fatalf("cap=%d space=%d step=%d: Peek(%d) mismatch", tc.capacity, tc.keySpace, step, k)
 				}
 			case 4:
-				if m.Delete(k) != ref.del(k) {
+				if m.Delete(uint64(k)) != ref.del(k) {
 					t.Fatalf("cap=%d space=%d step=%d: Delete(%d) mismatch", tc.capacity, tc.keySpace, step, k)
 				}
 			}
@@ -343,13 +344,13 @@ func TestPropertyMatchesReference(t *testing.T) {
 				if lok {
 					t.Fatalf("cap=%d space=%d step=%d: LRUKey on empty", tc.capacity, tc.keySpace, step)
 				}
-			} else if !lok || lk != ref.order[0] {
+			} else if !lok || lk != uint64(ref.order[0]) {
 				t.Fatalf("cap=%d space=%d step=%d: LRUKey=%d,%v ref=%d",
 					tc.capacity, tc.keySpace, step, lk, lok, ref.order[0])
 			}
 			if step%1000 == 0 { // full-order audit, amortized
 				var got []int
-				m.Each(func(k, v int) bool { got = append(got, k); return true })
+				m.Each(func(k uint64, v int) bool { got = append(got, int(k)); return true })
 				if len(got) != len(ref.order) {
 					t.Fatalf("cap=%d space=%d step=%d: Each len=%d ref=%d",
 						tc.capacity, tc.keySpace, step, len(got), len(ref.order))
@@ -365,59 +366,59 @@ func TestPropertyMatchesReference(t *testing.T) {
 	}
 }
 
-// Property: U64Map (the monomorphic hot-path variant) agrees with the
-// generic Map on every operation under the same randomized workload —
-// including GetRef, which must match Get's value and recency effect.
-func TestU64MapMatchesGenericMap(t *testing.T) {
-	for _, capacity := range []int{1, 3, 8, 64} {
-		g := New[uint64, int](capacity)
-		u := NewU64[int](capacity)
+// Property: GetRef answers exactly like Get — same value, same recency
+// effect — and writing through its pointer is exactly a Put of the new
+// value, the single-probe read-modify-write path SMS's accumulation table
+// and the stride table take on every access.
+func TestGetRefMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 3, 8, 64, 100} {
+		m := NewU64[int](capacity)
+		ref := newRefLRU(capacity)
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		for step := 0; step < 30000; step++ {
-			k := uint64(rng.Intn(3 * capacity))
+			k := rng.Intn(3 * capacity)
 			switch rng.Intn(5) {
 			case 0, 1:
-				gek, gev, gevicted := g.Put(k, step)
-				uek, uev, uevicted := u.Put(k, step)
-				if gevicted != uevicted || gek != uek || gev != uev {
-					t.Fatalf("cap=%d step=%d: Put(%d) evictions differ: (%d,%d,%v) vs (%d,%d,%v)",
-						capacity, step, k, gek, gev, gevicted, uek, uev, uevicted)
-				}
+				m.Put(uint64(k), step)
+				ref.put(k, step)
 			case 2:
-				gv, gok := g.Get(k)
-				uv, uok := u.Get(k)
-				if gok != uok || gv != uv {
-					t.Fatalf("cap=%d step=%d: Get(%d) differ", capacity, step, k)
+				gv, gok := m.GetRef(uint64(k))
+				rv, rok := ref.get(k)
+				if gok != rok || (gok && *gv != rv) {
+					t.Fatalf("cap=%d step=%d: GetRef(%d) differs", capacity, step, k)
 				}
 			case 3:
-				gv, gok := g.Get(k)
-				ref, uok := u.GetRef(k)
-				if gok != uok || (gok && *ref != gv) {
-					t.Fatalf("cap=%d step=%d: GetRef(%d) differ", capacity, step, k)
+				gv, gok := m.GetRef(uint64(k))
+				if _, rok := ref.get(k); gok != rok {
+					t.Fatalf("cap=%d step=%d: GetRef(%d) presence differs", capacity, step, k)
+				}
+				if gok {
+					*gv = -step
+					ref.put(k, -step)
 				}
 			case 4:
-				if g.Delete(k) != u.Delete(k) {
-					t.Fatalf("cap=%d step=%d: Delete(%d) differ", capacity, step, k)
+				if m.Delete(uint64(k)) != ref.del(k) {
+					t.Fatalf("cap=%d step=%d: Delete(%d) differs", capacity, step, k)
 				}
 			}
-			if g.Len() != u.Len() {
-				t.Fatalf("cap=%d step=%d: Len differ %d vs %d", capacity, step, g.Len(), u.Len())
-			}
-			gk, gok := g.LRUKey()
-			uk, uok := u.LRUKey()
-			if gok != uok || gk != uk {
-				t.Fatalf("cap=%d step=%d: LRUKey differ", capacity, step)
+			if m.Len() != len(ref.vals) {
+				t.Fatalf("cap=%d step=%d: Len differs %d vs %d", capacity, step, m.Len(), len(ref.vals))
 			}
 		}
-		var gorder, uorder []uint64
-		g.Each(func(k uint64, v int) bool { gorder = append(gorder, k); return true })
-		u.Each(func(k uint64, v int) bool { uorder = append(uorder, k); return true })
-		if len(gorder) != len(uorder) {
+		var got []int
+		m.Each(func(k uint64, v int) bool {
+			if rv := ref.vals[int(k)]; rv != v {
+				t.Fatalf("cap=%d: key %d holds %d, ref %d", capacity, k, v, rv)
+			}
+			got = append(got, int(k))
+			return true
+		})
+		if len(got) != len(ref.order) {
 			t.Fatalf("cap=%d: Each lengths differ", capacity)
 		}
-		for i := range gorder {
-			if gorder[i] != uorder[i] {
-				t.Fatalf("cap=%d: Each order differs at %d: %v vs %v", capacity, i, gorder, uorder)
+		for i := range got {
+			if got[i] != ref.order[len(ref.order)-1-i] {
+				t.Fatalf("cap=%d: Each order %v, ref (rev) %v", capacity, got, ref.order)
 			}
 		}
 	}

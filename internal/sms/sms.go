@@ -30,6 +30,14 @@ type Key struct {
 	Offset int
 }
 
+// pack folds a Key into one word for the PHT's uint64-keyed table, the
+// offset in the low 5 bits and the PC above them — the packing core.Key
+// uses. Injective for any PC below 2^59, so the table behaves exactly as
+// if keyed on the struct.
+func (k Key) pack() uint64 {
+	return k.PC<<mem.RegionBlockBits | uint64(k.Offset&(mem.RegionBlocks-1))
+}
+
 // Pattern is one PHT entry.
 type Pattern struct {
 	// Counters holds a 2-bit saturating counter per region block
@@ -37,6 +45,9 @@ type Pattern struct {
 	Counters [mem.RegionBlocks]uint8
 	// Bits is the last observed footprint (bit-vector mode).
 	Bits uint32
+	// mask is the offsets the pattern predicts, computed when it is
+	// trained so lookups need not rescan the counters.
+	mask uint32
 }
 
 // predictMask returns the offsets predicted by the pattern.
@@ -58,6 +69,10 @@ type generation struct {
 	pc       uint64 // trigger PC
 	off      int    // trigger offset
 	observed uint32 // offsets touched this generation
+	// predicted is the offset mask the trigger-time PHT lookup predicted,
+	// which answers WasPredicted for misses inside the generation (Figure
+	// 6 classification and the STeMS RMOB filter use the same notion).
+	predicted uint32
 }
 
 // Stats counts predictor activity.
@@ -76,15 +91,9 @@ type SMS struct {
 	cfg    config.SMS
 	engine *stream.Engine
 
-	filter *lru.Map[mem.Addr, generation]
-	accum  *lru.Map[mem.Addr, generation]
-	pht    *lru.Map[Key, Pattern]
-
-	// predicted maps active regions to the offset mask predicted at
-	// trigger time; used to answer WasPredicted for misses inside the
-	// generation (Figure 6 classification and the STeMS RMOB filter use
-	// the same notion).
-	predicted map[mem.Addr]uint32
+	filter *lru.U64Map[generation] // keyed by uint64(region)
+	accum  *lru.U64Map[generation] // keyed by uint64(region)
+	pht    *lru.U64Map[Pattern]    // keyed by Key.pack()
 
 	stats Stats
 }
@@ -95,12 +104,11 @@ func New(cfg config.SMS, engine *stream.Engine) *SMS {
 		cfg = config.DefaultSMS()
 	}
 	return &SMS{
-		cfg:       cfg,
-		engine:    engine,
-		filter:    lru.New[mem.Addr, generation](cfg.FilterEntries),
-		accum:     lru.New[mem.Addr, generation](cfg.AccumEntries),
-		pht:       lru.New[Key, Pattern](cfg.PHTEntries),
-		predicted: make(map[mem.Addr]uint32),
+		cfg:    cfg,
+		engine: engine,
+		filter: lru.NewU64[generation](cfg.FilterEntries),
+		accum:  lru.NewU64[generation](cfg.AccumEntries),
+		pht:    lru.NewU64[Pattern](cfg.PHTEntries),
 	}
 }
 
@@ -117,19 +125,20 @@ func (s *SMS) OnAccess(a trace.Access, l1Hit bool) {
 	off := a.Addr.RegionOffset()
 	bit := uint32(1) << off
 
-	if g, ok := s.accum.Get(region); ok {
+	// One probe of the accumulation table: writing through the reference
+	// is a Get followed by a Put of the extended footprint.
+	if g, ok := s.accum.GetRef(uint64(region)); ok {
 		g.observed |= bit
-		s.accum.Put(region, g)
 		return
 	}
-	if g, ok := s.filter.Peek(region); ok {
+	if g, ok := s.filter.Peek(uint64(region)); ok {
 		if off == g.off {
 			return // repeated touch of the trigger block
 		}
 		// Second distinct block: promote to the accumulation table.
-		s.filter.Delete(region)
+		s.filter.Delete(uint64(region))
 		g.observed |= bit
-		if k, v, ev := s.accum.Put(region, g); ev {
+		if k, v, ev := s.accum.Put(uint64(region), g); ev {
 			s.retire(k, v)
 		}
 		return
@@ -137,28 +146,24 @@ func (s *SMS) OnAccess(a trace.Access, l1Hit bool) {
 
 	// Trigger access: open a generation and predict.
 	s.stats.Triggers++
-	s.predictFor(region, a.PC, off)
-	g := generation{pc: a.PC, off: off, observed: bit}
-	if k, _, ev := s.filter.Put(region, g); ev {
+	g := generation{pc: a.PC, off: off, observed: bit, predicted: s.predictFor(region, a.PC, off)}
+	if _, _, ev := s.filter.Put(uint64(region), g); ev {
 		// Single-access region aged out of the filter: no training.
 		s.stats.FilterDrops++
-		delete(s.predicted, k)
 	}
 }
 
-// predictFor looks up the PHT and fetches the predicted blocks.
-func (s *SMS) predictFor(region mem.Addr, pc uint64, off int) {
-	pat, ok := s.pht.Get(Key{PC: pc, Offset: off})
+// predictFor looks up the PHT, fetches the predicted blocks and returns
+// their offset mask.
+func (s *SMS) predictFor(region mem.Addr, pc uint64, off int) uint32 {
+	pat, ok := s.pht.GetRef(Key{PC: pc, Offset: off}.pack())
 	if !ok {
-		s.predicted[region] = 0
-		return
+		return 0
 	}
 	s.stats.PHTHits++
-	mask := pat.predictMask(s.cfg.UseCounters, s.cfg.CounterThreshold)
-	mask &^= 1 << off // the trigger block itself is the current demand miss
-	s.predicted[region] = mask
+	mask := pat.mask &^ (1 << off) // the trigger block itself is the current demand miss
 	if s.engine == nil {
-		return
+		return mask
 	}
 	for o := 0; o < mem.RegionBlocks; o++ {
 		if mask&(1<<o) != 0 {
@@ -166,12 +171,13 @@ func (s *SMS) predictFor(region mem.Addr, pc uint64, off int) {
 			s.stats.Predicted++
 		}
 	}
+	return mask
 }
 
 // OnL1Evict ends the generation containing the evicted block, if any, and
 // trains the PHT with its observed footprint (§2.4).
 func (s *SMS) OnL1Evict(block mem.Addr) {
-	region := block.Region()
+	region := uint64(block.Region())
 	bit := uint32(1) << block.RegionOffset()
 	if g, ok := s.accum.Peek(region); ok {
 		if g.observed&bit != 0 {
@@ -183,16 +189,14 @@ func (s *SMS) OnL1Evict(block mem.Addr) {
 	if g, ok := s.filter.Peek(region); ok {
 		if g.observed&bit != 0 {
 			s.filter.Delete(region)
-			delete(s.predicted, region)
 			s.stats.FilterDrops++
 		}
 	}
 }
 
 // retire commits a finished generation to the PHT.
-func (s *SMS) retire(region mem.Addr, g generation) {
-	delete(s.predicted, region)
-	key := Key{PC: g.pc, Offset: g.off}
+func (s *SMS) retire(region uint64, g generation) {
+	key := Key{PC: g.pc, Offset: g.off}.pack()
 	pat, _ := s.pht.Peek(key)
 	if s.cfg.UseCounters {
 		for o := 0; o < mem.RegionBlocks; o++ {
@@ -206,6 +210,7 @@ func (s *SMS) retire(region mem.Addr, g generation) {
 		}
 	}
 	pat.Bits = g.observed
+	pat.mask = pat.predictMask(s.cfg.UseCounters, s.cfg.CounterThreshold)
 	s.pht.Put(key, pat)
 	s.stats.Trained++
 }
@@ -219,8 +224,12 @@ func (s *SMS) OnOffChipEvent(trace.Access, bool) {}
 // spatially predicted (§2.3: the first miss to each region is the
 // fundamental spatial blind spot).
 func (s *SMS) WasPredicted(addr mem.Addr) bool {
-	mask, ok := s.predicted[addr.Region()]
-	return ok && mask&(1<<addr.RegionOffset()) != 0
+	region := uint64(addr.Region())
+	g, ok := s.accum.Peek(region)
+	if !ok {
+		g, ok = s.filter.Peek(region)
+	}
+	return ok && g.predicted&(1<<addr.RegionOffset()) != 0
 }
 
 // Pattern returns the predicted offset mask for a lookup index, for use by
@@ -228,11 +237,11 @@ func (s *SMS) WasPredicted(addr mem.Addr) bool {
 // fetches "elements of the predicted spatial pattern" for every temporally
 // predicted trigger).
 func (s *SMS) Pattern(pc uint64, offset int) (uint32, bool) {
-	pat, ok := s.pht.Get(Key{PC: pc, Offset: offset})
+	pat, ok := s.pht.GetRef(Key{PC: pc, Offset: offset}.pack())
 	if !ok {
 		return 0, false
 	}
-	return pat.predictMask(s.cfg.UseCounters, s.cfg.CounterThreshold), true
+	return pat.mask, true
 }
 
 // ActiveGenerations returns the number of currently open generations.

@@ -165,7 +165,10 @@ type Engine struct {
 
 	queues []Queue
 	// The SVB: a fixed slot array, a block-address index over it, and a
-	// free-slot stack. Occupancy is SVBEntries minus free slots. svbStamps
+	// free-slot stack. Occupancy is SVBEntries minus free slots. The index
+	// is sized for at most 1/8 load: every demand miss, store and fetch
+	// filter probes it, and at 1/2 load the probe runs and backward-shift
+	// deletes of a table this small and this churned dominate. svbStamps
 	// mirrors the entry stamps in one compact array so the eviction scan
 	// (which runs with every slot occupied) touches a few cache lines
 	// instead of the whole entry array.
@@ -201,7 +204,7 @@ func NewEngine(cfg Config, fetcher Fetcher) *Engine {
 		Clock:        func() uint64 { return 0 },
 		svb:          make([]svbEntry, cfg.SVBEntries),
 		svbStamps:    make([]uint64, cfg.SVBEntries),
-		svbIndex:     flat.NewU64Table[int](cfg.SVBEntries),
+		svbIndex:     flat.NewU64Table[int](4 * cfg.SVBEntries),
 		svbFree:      make([]int, 0, cfg.SVBEntries),
 		svbRing:      make([]svbRef, ringSize(cfg.SVBEntries)),
 		queues:       make([]Queue, cfg.Queues),

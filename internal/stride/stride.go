@@ -34,7 +34,7 @@ type rptEntry struct {
 type Stride struct {
 	cfg    config.Stride
 	engine *stream.Engine
-	table  *lru.Map[uint64, rptEntry]
+	table  *lru.U64Map[rptEntry] // keyed by PC
 	issued uint64
 }
 
@@ -46,7 +46,7 @@ func New(cfg config.Stride, engine *stream.Engine) *Stride {
 	return &Stride{
 		cfg:    cfg,
 		engine: engine,
-		table:  lru.New[uint64, rptEntry](cfg.TableEntries),
+		table:  lru.NewU64[rptEntry](cfg.TableEntries),
 	}
 }
 
@@ -59,7 +59,9 @@ func (s *Stride) OnAccess(a trace.Access, l1Hit bool) {
 	if l1Hit || a.Write {
 		return
 	}
-	ent, ok := s.table.Get(a.PC)
+	// One probe: updating through the reference is a Get followed by a
+	// Put of the new state.
+	ent, ok := s.table.GetRef(a.PC)
 	if !ok {
 		s.table.Put(a.PC, rptEntry{lastAddr: a.Addr, state: stateInitial})
 		return
@@ -76,11 +78,9 @@ func (s *Stride) OnAccess(a trace.Access, l1Hit bool) {
 		ent.stride = observed
 		ent.state = stateTransient
 		ent.lastAddr = a.Addr
-		s.table.Put(a.PC, ent)
 		return
 	}
 	ent.lastAddr = a.Addr
-	s.table.Put(a.PC, ent)
 	if ent.state == stateSteady {
 		for d := 1; d <= s.cfg.Degree; d++ {
 			target := mem.Addr(int64(a.Addr) + int64(d)*ent.stride)

@@ -30,14 +30,9 @@ type TMS struct {
 	cfg    config.TMS
 	engine *stream.Engine
 
-	cmob    []mem.Addr // ring buffer of miss block addresses
-	mask    uint64     // len(cmob)-1 when a power of two, else 0
-	appends uint64     // total entries ever appended
-	// index maps block -> most recent append position. Like the STeMS
-	// RMOB it is an open-addressed flat table on the per-miss path, sized
-	// with headroom over the ring and rebuilt from live ring contents when
-	// lapped mappings fill it, so the replay loop never allocates.
-	index *flat.U64Table[uint64]
+	// cmob is the ring of miss block addresses, indexed by block: the
+	// miss-order ring STeMS's RMOB also uses (flat.Ring).
+	cmob *flat.Ring[mem.Addr, mem.Addr]
 
 	// Per-stream read positions live in Queue.Cursor; all streams share
 	// one refill closure and one chunk buffer (the engine copies chunks
@@ -56,11 +51,7 @@ func New(cfg config.TMS, engine *stream.Engine) *TMS {
 	t := &TMS{
 		cfg:    cfg,
 		engine: engine,
-		cmob:   make([]mem.Addr, cfg.CMOBEntries),
-		index:  flat.NewU64Table[uint64](cfg.CMOBEntries + cfg.CMOBEntries/4),
-	}
-	if n := cfg.CMOBEntries; n&(n-1) == 0 {
-		t.mask = uint64(n - 1)
+		cmob:   flat.NewRing(cfg.CMOBEntries, func(b mem.Addr) mem.Addr { return b }),
 	}
 	t.refillFn = t.refillStream
 	return t
@@ -70,7 +61,12 @@ func New(cfg config.TMS, engine *stream.Engine) *TMS {
 func (t *TMS) Name() string { return "tms" }
 
 // Stats returns cumulative statistics.
-func (t *TMS) Stats() Stats { return t.stats }
+func (t *TMS) Stats() Stats {
+	s := t.stats
+	s.Appends = t.cmob.Appends()
+	s.StaleLookups = t.cmob.StaleLookups()
+	return s
+}
 
 // OnAccess implements the Prefetcher interface; TMS trains only on
 // off-chip events.
@@ -92,9 +88,9 @@ func (t *TMS) OnOffChipEvent(a trace.Access, covered bool) {
 	var prev uint64
 	prevOK := false
 	if !covered {
-		prev, prevOK = t.lookup(block)
+		prev, prevOK = t.cmob.Lookup(block)
 	}
-	t.append(block)
+	t.cmob.Append(block)
 	if covered {
 		return
 	}
@@ -105,65 +101,20 @@ func (t *TMS) OnOffChipEvent(a trace.Access, covered bool) {
 	t.startStream(prev + 1)
 }
 
-// slot maps an absolute position onto the ring (mask when power of two).
-func (t *TMS) slot(pos uint64) uint64 {
-	if t.mask != 0 {
-		return pos & t.mask
-	}
-	return pos % uint64(len(t.cmob))
-}
-
-// lookup returns the most recent valid CMOB position of block.
-func (t *TMS) lookup(block mem.Addr) (uint64, bool) {
-	pos, ok := t.index.Get(uint64(block))
-	if !ok {
-		return 0, false
-	}
-	if t.appends-pos > uint64(len(t.cmob)) || t.cmob[t.slot(pos)] != block {
-		// The ring lapped this entry; the mapping is stale.
-		t.stats.StaleLookups++
-		t.index.Delete(uint64(block))
-		return 0, false
-	}
-	return pos, true
-}
-
-func (t *TMS) append(block mem.Addr) {
-	t.cmob[t.slot(t.appends)] = block
-	if t.index.Full() {
-		t.reindex()
-	}
-	t.index.Put(uint64(block), t.appends)
-	t.appends++
-	t.stats.Appends++
-}
-
-// reindex rebuilds the address index from the live ring, shedding lapped
-// mappings; live entries fill at most half the index, so the rebuilt table
-// is never full.
-func (t *TMS) reindex() {
-	t.index.Clear()
-	start := uint64(0)
-	if t.appends > uint64(len(t.cmob)) {
-		start = t.appends - uint64(len(t.cmob))
-	}
-	for p := start; p < t.appends; p++ {
-		t.index.Put(uint64(t.cmob[t.slot(p)]), p)
-	}
-}
-
 // readChunk fills the shared chunk buffer with up to n CMOB entries
 // starting at *pos, advancing the position. It stops at the append head or
 // when the ring has overwritten the requested region. The returned slice
 // is valid until the next readChunk call; the stream engine copies it.
 func (t *TMS) readChunk(pos *uint64, n int) []mem.Addr {
 	t.chunkBuf = t.chunkBuf[:0]
-	for len(t.chunkBuf) < n && *pos < t.appends {
-		if t.appends-*pos > uint64(len(t.cmob)) {
-			// Fell too far behind; the ring overwrote this position.
+	for len(t.chunkBuf) < n {
+		// At fails at the append head, and where the ring overwrote the
+		// position because the stream fell too far behind.
+		b, ok := t.cmob.At(*pos)
+		if !ok {
 			break
 		}
-		t.chunkBuf = append(t.chunkBuf, t.cmob[t.slot(*pos)])
+		t.chunkBuf = append(t.chunkBuf, b)
 		*pos++
 	}
 	return t.chunkBuf
@@ -194,9 +145,4 @@ func (t *TMS) refillStream(q *stream.Queue) {
 }
 
 // CMOBLen returns the number of live entries in the circular buffer.
-func (t *TMS) CMOBLen() int {
-	if t.appends < uint64(len(t.cmob)) {
-		return int(t.appends)
-	}
-	return len(t.cmob)
-}
+func (t *TMS) CMOBLen() int { return t.cmob.Len() }
