@@ -306,31 +306,27 @@ func BenchmarkSimStepBaseline(b *testing.B) {
 }
 
 // benchSimBlocks is the block-pipeline counterpart of benchSimStep: the
-// same DB2 trace, pre-packed into columnar blocks, replayed through
-// Machine.StepBlock. The accesses/sec metric is directly comparable with
-// the per-access benchmarks' — the end-to-end replay number of README.md.
+// same DB2 trace, resident as a BlockTrace, replayed whole through its
+// cursor and Machine.StepBlock once per iteration. Each machine is built
+// with the timer stopped, so the accesses/sec metric times replay alone
+// at any -benchtime — the end-to-end replay number of README.md.
 func benchSimBlocks(b *testing.B, mk func(b *testing.B) *sim.Machine) {
 	b.Helper()
 	spec, _ := workload.ByName("DB2")
-	bt := trace.NewBlockTrace(spec.Generate(1, 200_000))
-	blocks := make([]*trace.Block, bt.NumBlocks())
-	for i := range blocks {
-		blocks[i] = bt.BlockAt(i)
-	}
+	bt := spec.GenerateBlocks(1, 200_000)
+	var blk trace.Block
 	b.ResetTimer()
-	i := 0
-	for i < b.N {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
 		m := mk(b)
-		for j := 0; j < len(blocks) && i < b.N; j++ {
-			m.StepBlock(blocks[j])
-			i += blocks[j].N
+		b.StartTimer()
+		for cur := bt.Blocks(); cur.NextBlock(&blk); {
+			m.StepBlock(&blk)
 		}
 	}
 	b.StopTimer()
-	// i, not b.N: the loop executes whole blocks, so at -benchtime=1x it
-	// has replayed a full block (4096 accesses), not one.
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(i)/secs, "accesses/sec")
+		b.ReportMetric(float64(b.N)*float64(bt.Len())/secs, "accesses/sec")
 	}
 }
 

@@ -57,30 +57,3 @@ func TestWindowZeroAlloc(t *testing.T) {
 		t.Fatalf("Reconstructor.Window allocated %.3f objects per window, want 0", avg)
 	}
 }
-
-// TestLookupBatchZeroAlloc pins the standalone grouped-probe API: after
-// the first sizing, repeated fill/resolve cycles must not touch the heap.
-func TestLookupBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	pst := NewPST(1024, false, 1)
-	for i := 0; i < 512; i++ {
-		off := i % mem.RegionBlocks
-		pst.Train(Key{PC: uint64(1 + i%64), Offset: off}, []SeqElem{{Offset: int8((off + 1) % mem.RegionBlocks)}})
-	}
-	batch := NewLookupBatch(256)
-	fill := func() {
-		batch.Reset()
-		for i := 0; i < 256; i++ {
-			off := i % mem.RegionBlocks
-			batch.Add(Key{PC: uint64(1 + i%64), Offset: off}, mem.Addr(i)*mem.BlockSize, int32(i))
-		}
-		pst.ResolveBatch(batch)
-	}
-	fill() // establish the scratch high-water mark
-	avg := testing.AllocsPerRun(100, func() { fill() })
-	if avg != 0 {
-		t.Fatalf("LookupBatch fill/resolve allocated %.3f objects per cycle, want 0", avg)
-	}
-}

@@ -142,43 +142,26 @@ func (p *PST) Lookup(k Key) *PSTEntry {
 	return ent
 }
 
-// LookupBatch collects the PST probes one reconstruction window generates
-// so they can be resolved in a single tight pass over the table instead of
-// interleaved with slot placement. The reconstructor gathers every RMOB
-// entry (block, intended slot, lookup key) first, calls ResolveBatch once,
-// and then reconstructs from the resolved entries — the probe loop touches
-// only the table's index while the placement loop streams over one
-// contiguous probe array.
-//
-// Beyond resolving, ResolveBatch *groups* the probes: every probe carries a
-// dense group id shared by all probes with the same key, assigned in first-
-// occurrence order. Windows repeat keys heavily but rarely back to back
-// (measured on the synthetic suite: ~1/3 of a window's probes are unique,
-// so the average key recurs three times, interleaved with others), so the
-// table probe runs once per *unique* key while per-probe recency updates
-// still replay exactly; callers key per-window caches (the reconstructor's
-// expansion templates) by group id to get the same amortization.
-//
-// All storage is allocated up front; a batch used within its capacity
-// never allocates.
-type LookupBatch struct {
-	probes []Probe
-
-	// Key-dedup scratch: an epoch-stamped open-addressing table sized at
-	// twice the probe capacity (load factor ≤ 1/2), reset per resolve by
-	// bumping the epoch instead of clearing. One struct per slot keeps a
-	// scratch probe to a single cache line.
+// keyDedup is the key-dedup scratch one reconstruction window resolves
+// its PST lookups through (see Reconstructor.Window): an epoch-stamped
+// open-addressing table sized at twice the window's entry bound (load
+// factor <= 1/2), reset per window by bumping the epoch instead of
+// clearing. Windows repeat keys heavily but rarely back to back (measured
+// on the synthetic suite: ~1/3 of a window's lookups are unique, so the
+// average key recurs three times, interleaved with others), so the table's
+// hash index is probed once per unique key. One struct per slot keeps a
+// scratch probe to a single cache line.
+type keyDedup struct {
 	scratch []scratchSlot
 	sshift  uint
 	epoch   uint32
-	groups  int
 }
 
-// scratchSlot is one slot of the batch's key-dedup table: the key, its
-// resolved entry and LRU node, the assigned group id, the probe index of
-// the key's latest occurrence (for callers that defer recency updates to
-// one Touch per key), and the epoch stamp that says whether the slot
-// belongs to the current resolve.
+// scratchSlot is one slot of the key-dedup table: the key, its resolved
+// entry and LRU node, the assigned group id, the lookup index of the key's
+// latest occurrence (for the deferred recency replay that applies one
+// Touch per key), and the epoch stamp that says whether the slot belongs
+// to the current window.
 type scratchSlot struct {
 	key   uint64
 	ent   *PSTEntry
@@ -188,128 +171,17 @@ type scratchSlot struct {
 	stamp uint32
 }
 
-// Probe is one gathered lookup: the caller's per-entry context (trigger
-// block and intended reconstruction slot) riding alongside the packed key,
-// and the resolved entry after ResolveBatch. One struct per entry keeps
-// the gather pass to a single append and the placement pass on a single
-// sequential stream.
-type Probe struct {
-	Block mem.Addr
-	key   uint64
-	Ent   *PSTEntry // resolved by ResolveBatch; nil on miss
-	Slot  int32
-	Grp   int32 // dense per-batch group id; probes with equal keys share it
-}
-
-// Key returns the probe's lookup key.
-func (p *Probe) Key() Key {
-	return Key{PC: p.key >> mem.RegionBlockBits, Offset: int(p.key & (mem.RegionBlocks - 1))}
-}
-
-// NewLookupBatch creates a batch holding up to capacity probes.
-func NewLookupBatch(capacity int) *LookupBatch {
-	b := &LookupBatch{probes: make([]Probe, 0, capacity)}
-	b.sizeScratch(capacity)
-	return b
-}
-
-// sizeScratch (re)allocates the dedup scratch for up to n probes: the next
+// newKeyDedup sizes the scratch for up to n lookups per window: the next
 // power of two at or above 2n, so linear probing stays short.
-func (b *LookupBatch) sizeScratch(n int) {
+func newKeyDedup(n int) *keyDedup {
 	size := 8
 	for size < 2*n {
 		size <<= 1
 	}
-	b.scratch = make([]scratchSlot, size)
-	b.sshift = uint(64 - bits.TrailingZeros(uint(size)))
-	b.epoch = 0
-}
-
-// Reset empties the batch for reuse.
-func (b *LookupBatch) Reset() { b.probes = b.probes[:0] }
-
-// Add queues one lookup with its placement context. Results are available
-// after ResolveBatch.
-func (b *LookupBatch) Add(k Key, block mem.Addr, slot int32) {
-	b.probes = append(b.probes, Probe{Block: block, key: k.pack(), Slot: slot})
-}
-
-// Len returns the number of queued probes.
-func (b *LookupBatch) Len() int { return len(b.probes) }
-
-// Groups returns the number of distinct keys in the batch, valid after
-// ResolveBatch. Probe.Grp values are dense in [0, Groups()).
-func (b *LookupBatch) Groups() int { return b.groups }
-
-// Probes returns the queued probes in gather order; entries are resolved
-// after ResolveBatch. The slice aliases the batch's storage and is valid
-// until the next Reset.
-func (b *LookupBatch) Probes() []Probe { return b.probes }
-
-// ResolveBatch resolves every queued probe against the table in one pass
-// and assigns group ids (see LookupBatch). The table's hash index is probed
-// once per unique key; recency updates replay per probe in gather order, so
-// the LRU state after ResolveBatch is byte-identical to a sequential Lookup
-// per key (the index probe is read-only, so skipping a repeat changes
-// nothing; a repeat Touch of a key just looked up is skipped as the exact
-// no-op it is only when the repeats are adjacent).
-func (p *PST) ResolveBatch(b *LookupBatch) {
-	t := p.table
-	probes := b.probes
-	if 2*len(probes) > len(b.scratch) {
-		b.sizeScratch(len(probes))
+	return &keyDedup{
+		scratch: make([]scratchSlot, size),
+		sshift:  uint(64 - bits.TrailingZeros(uint(size))),
 	}
-	b.epoch++
-	if b.epoch == 0 { // stamp wraparound: invalidate everything once
-		clear(b.scratch)
-		b.epoch = 1
-	}
-	epoch := b.epoch
-	scratch := b.scratch
-	mask := uint32(len(scratch) - 1)
-	shift := b.sshift
-	ngroups := int32(0)
-	var prevKey uint64
-	var prevEnt *PSTEntry
-	prevGrp := int32(-1)
-	for i := range probes {
-		k := probes[i].key
-		if prevGrp >= 0 && k == prevKey {
-			probes[i].Ent = prevEnt
-			probes[i].Grp = prevGrp
-			continue
-		}
-		var ent *PSTEntry
-		var grp int32
-		for j := uint32(k*0x9E3779B97F4A7C15>>shift) & mask; ; j = (j + 1) & mask {
-			s := &scratch[j]
-			if s.stamp != epoch {
-				// First occurrence of k in this batch: the one real probe.
-				node := int32(-1)
-				if n, ok := t.Find(k); ok {
-					t.Touch(n)
-					ent = t.RefAt(n)
-					node = int32(n)
-				}
-				grp = ngroups
-				ngroups++
-				*s = scratchSlot{key: k, ent: ent, node: node, grp: grp, stamp: epoch}
-				break
-			}
-			if s.key == k {
-				ent = s.ent
-				grp = s.grp
-				if s.node >= 0 {
-					t.Touch(int(s.node))
-				}
-				break
-			}
-		}
-		probes[i].Ent = ent
-		probes[i].Grp = grp
-		prevKey, prevEnt, prevGrp = k, ent, grp
-	}
-	b.groups = int(ngroups)
 }
 
 // Predicts reports whether the entry (possibly nil) predicts the relative
@@ -329,29 +201,9 @@ func (p *PST) Predicts(ent *PSTEntry, rel int8) bool {
 	return ent.counterAt(rel) >= p.threshold
 }
 
-// predictsHot is Predicts for callers that already hold a non-nil entry —
-// small enough to inline into the reconstruction expansion loop.
-func (p *PST) predictsHot(ent *PSTEntry, rel int8) bool {
-	if p.useCounters {
-		return ent.counterAt(rel) >= p.threshold
-	}
-	for _, el := range ent.Sequence() {
-		if el.Offset == rel {
-			return true
-		}
-	}
-	return false
-}
-
-// PredictedSeq returns the elements of ent that clear the confidence
-// threshold, in stored (most recent observed) order.
-func (p *PST) PredictedSeq(ent *PSTEntry) []SeqElem {
-	return p.AppendPredicted(nil, ent)
-}
-
-// AppendPredicted appends the confident elements of ent to dst and returns
-// the extended slice — the allocation-free form of PredictedSeq for callers
-// that reuse a scratch buffer.
+// AppendPredicted appends the elements of ent that clear the confidence
+// threshold to dst, in stored (most recent observed) order, and returns
+// the extended slice.
 func (p *PST) AppendPredicted(dst []SeqElem, ent *PSTEntry) []SeqElem {
 	if ent == nil {
 		return dst

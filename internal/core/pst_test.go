@@ -90,7 +90,7 @@ func TestPSTPredictedSeqFiltersUnstable(t *testing.T) {
 	p.Train(k, []SeqElem{{Offset: 1}, {Offset: 2}})
 	p.Train(k, []SeqElem{{Offset: 1}, {Offset: 2}})
 	p.Train(k, []SeqElem{{Offset: 1}, {Offset: 2}, {Offset: 9}})
-	seq := p.PredictedSeq(p.Lookup(k))
+	seq := p.AppendPredicted(nil, p.Lookup(k))
 	for _, el := range seq {
 		if el.Offset == 9 {
 			t.Fatal("unstable offset 9 in predicted sequence")
@@ -139,7 +139,7 @@ func TestPSTNilEntryPredictsNothing(t *testing.T) {
 	if p.Predicts(nil, 3) {
 		t.Fatal("nil entry predicted")
 	}
-	if p.PredictedSeq(nil) != nil {
+	if p.AppendPredicted(nil, nil) != nil {
 		t.Fatal("nil entry returned sequence")
 	}
 }

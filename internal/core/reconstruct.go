@@ -47,8 +47,8 @@ type Reconstructor struct {
 	out        []mem.Addr
 
 	// Batch state: Window gathers the RMOB entries of one window into one
-	// probe array, resolving each entry's PST lookup through the batch's
-	// key-dedup scratch as it goes (the table's hash index is probed once
+	// probe array, resolving each entry's PST lookup through the dedup
+	// scratch as it goes (the table's hash index is probed once
 	// per distinct key), then reconstructs by streaming over the resolved
 	// probes. Deferred work queues let the batch pay once per distinct
 	// key or region for what the entry-at-a-time loop paid per entry:
@@ -73,7 +73,7 @@ type Reconstructor struct {
 	// about three times per window on the synthetic suite — interleaved,
 	// rarely back to back — so two of every three template builds and
 	// PST index probes are amortized away.
-	batch    *LookupBatch
+	dedup    *keyDedup
 	arena    []expElem
 	tmplOff  []int32
 	tmplLen  []int32
@@ -154,11 +154,11 @@ func NewReconstructor(pst *PST, rmob *RMOB, bufSlots, search int) *Reconstructor
 		regionBits: flat.NewU64Table[regionCell](bufSlots),
 		out:        make([]mem.Addr, 0, bufSlots),
 		// Slots strictly advance entry to entry, so a window consumes at
-		// most bufSlots RMOB entries: the gather batch and the deferred
+		// most bufSlots RMOB entries: the dedup scratch and the deferred
 		// queues never grow. The arena starts big enough for typical
 		// windows and grows (amortized, then stable) if a window holds
 		// unusually many long templates.
-		batch:    NewLookupBatch(bufSlots),
+		dedup:    newKeyDedup(bufSlots),
 		arena:    make([]expElem, 0, 8*bufSlots),
 		tmplOff:  make([]int32, bufSlots),
 		tmplLen:  make([]int32, bufSlots),
@@ -188,7 +188,7 @@ func (rc *Reconstructor) Stats() ReconStats { return rc.stats }
 // The reconstruction is batched (§4.3 collision search and dedup
 // semantics unchanged, results byte-identical to the entry-at-a-time
 // form): one fused pass walks the ring, resolves each entry's PST lookup
-// through the batch's key-dedup scratch (the table's hash index is probed
+// through the key-dedup scratch (the table's hash index is probed
 // once per distinct key), and places temporal entries and spatial
 // expansions from per-group templates, while recency updates and region
 // notifications ride the deferred queues to one replay per distinct key
@@ -209,18 +209,18 @@ func (rc *Reconstructor) Window(pos *uint64, onRegion func(region mem.Addr, k Ke
 	if p < lo || p >= hi {
 		return nil
 	}
-	batch := rc.batch
+	kd := rc.dedup
 	bufSlots := rc.bufSlots
 	t := rc.pst.table
-	batch.epoch++
-	if batch.epoch == 0 { // stamp wraparound: invalidate everything once
-		clear(batch.scratch)
-		batch.epoch = 1
+	kd.epoch++
+	if kd.epoch == 0 { // stamp wraparound: invalidate everything once
+		clear(kd.scratch)
+		kd.epoch = 1
 	}
-	epoch := batch.epoch
-	scratch := batch.scratch
+	epoch := kd.epoch
+	scratch := kd.scratch
 	smask := uint32(len(scratch) - 1)
-	shift := batch.sshift
+	shift := kd.sshift
 	touchQ := rc.touchQ
 	notifyQ := rc.notifyQ
 	cells := rc.cells[:0]
@@ -477,7 +477,6 @@ func (rc *Reconstructor) Window(pos *uint64, onRegion func(region mem.Addr, k Ke
 			}
 		}
 	}
-	batch.groups = int(ngroups)
 	rc.stats.Entries += p - *pos
 	*pos = p
 

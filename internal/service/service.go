@@ -53,8 +53,8 @@ type Config struct {
 	// costs a regeneration on the next run of that trace, never
 	// correctness, and the replaying worker's reference keeps the evicted
 	// trace alive until it finishes (peak memory can briefly exceed the
-	// bound). A trace costs ~12.8 bytes/access resident, so the default
-	// holds ~40MB of the suite's 400k-access traces.
+	// bound). A suite trace costs 5.3-6.3 bytes/access resident, so the
+	// default holds ~20MB of the suite's 400k-access traces.
 	TraceBound int
 	// RetainJobs caps retained terminal jobs (default 1024): beyond it
 	// the oldest done/failed/canceled jobs — with their statuses and

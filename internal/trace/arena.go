@@ -39,10 +39,10 @@ type arenaEntry struct {
 // workload; through an arena each (workload, seed, length) trace is
 // generated exactly once.
 //
-// Traces are held as columnar BlockTraces — the generator's []Access is
-// compacted on entry and released, so a resident trace costs ~12.8
-// bytes/access instead of 24 (see BlockTrace), and every replay feeds the
-// batched kernel directly.
+// Traces are held as packed BlockTraces — the generator's []Access is
+// compacted on entry and released, so a resident suite trace costs
+// 5.3-6.3 bytes/access instead of 24 (see BlockTrace), and every replay
+// feeds the batched kernel through a cursor of its own.
 //
 // An Arena is safe for concurrent use. The traces it hands out are shared:
 // callers must treat them as read-only.

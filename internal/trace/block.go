@@ -18,10 +18,11 @@ func bitWords(n int) int { return (n + 63) / 64 }
 // of 24-byte Access structs, a block stores each field as its own column,
 // with the two booleans packed into bitsets and the PCs dictionary-indexed
 // (a block holds at most BlockCap accesses, so at most BlockCap distinct
-// PCs — a uint16 index always suffices). A full block costs ~12.8 bytes
-// per access versus 24 for []Access (BenchmarkTraceMemory measures it),
-// and the batched kernel (sim.Machine.RunBlocks) iterates the columns
-// directly.
+// PCs — a uint16 index always suffices). Every column is full width, so
+// the batched kernel (sim.Machine.RunBlocks) iterates the columns directly;
+// a full block costs ~12.4 bytes per access versus 24 for []Access. A
+// BlockTrace keeps its blocks narrower still and widens each one as its
+// cursor hands it out.
 //
 // The exported columns are read-only for consumers; construct blocks
 // through Append (or the Blocks adapter), which maintains the dictionary
@@ -42,7 +43,8 @@ type Block struct {
 	DepBits   []uint64
 
 	// shared marks a block whose columns alias storage owned elsewhere
-	// (a BlockTrace or a Reader); Reset detaches them before reuse.
+	// (a BlockTrace or its cursor, or a Reader); Reset detaches them
+	// before reuse.
 	shared bool
 	// pcLookup inverts PCDict during appends — a flat probe table, not a
 	// Go map, because the Blocks adapter runs Append once per access on
@@ -191,9 +193,9 @@ func (s *sourceBlocks) NextBlock(b *Block) bool {
 // LimitBlocks truncates a block stream after n accesses. Whole blocks pass
 // through untouched; the block that crosses the limit is shortened in
 // place of being repacked. Its columns are only re-sliced, never written —
-// they may alias a BlockTrace or a Reader frame — except the flag bitsets,
-// which are copied so the bits past the limit read as clear (HasWrites
-// scans whole words).
+// they may alias a BlockTrace, its cursor's scratch or a Reader frame —
+// except the flag bitsets, which are copied so the bits past the limit
+// read as clear (HasWrites scans whole words).
 func LimitBlocks(bs BlockSource, n int) BlockSource {
 	return &limitBlocks{bs: bs, left: n}
 }
@@ -235,135 +237,4 @@ func maskedWords(words []uint64, n int) []uint64 {
 		out[len(out)-1] &= 1<<uint(r) - 1
 	}
 	return out
-}
-
-// BlockTrace is a complete trace held in columnar blocks — the compact
-// resident form cached by Arena and produced by workload generators, at
-// roughly half the footprint of the equivalent []Access
-// (BenchmarkTraceMemory: ~12.8 vs 24 bytes/access).
-type BlockTrace struct {
-	blocks []Block
-	n      int
-}
-
-// NewBlockTrace builds a BlockTrace from an access slice. The slice is
-// only read.
-func NewBlockTrace(accs []Access) *BlockTrace {
-	t := &BlockTrace{}
-	for _, a := range accs {
-		t.Append(a)
-	}
-	t.Seal()
-	return t
-}
-
-// Append adds one access to the trace.
-func (t *BlockTrace) Append(a Access) {
-	if len(t.blocks) == 0 || t.blocks[len(t.blocks)-1].Full() {
-		t.sealLast()
-		t.blocks = append(t.blocks, Block{})
-	}
-	t.blocks[len(t.blocks)-1].Append(a)
-	t.n++
-}
-
-// AppendBlock appends a copy of b's accesses. When the trace's tail block
-// is full (or absent) the block is copied column-by-column — a few
-// memcpys, no per-access dictionary work — the fast path for
-// frame-at-a-time loaders over v2 traces; otherwise the accesses are
-// appended individually.
-func (t *BlockTrace) AppendBlock(b *Block) {
-	if b.N == 0 {
-		return
-	}
-	if len(t.blocks) == 0 || t.blocks[len(t.blocks)-1].Full() {
-		t.sealLast()
-		var nb Block
-		nb.copyFrom(b)
-		t.blocks = append(t.blocks, nb)
-		t.n += b.N
-		return
-	}
-	for i := 0; i < b.N; i++ {
-		t.Append(b.At(i))
-	}
-}
-
-// copyFrom makes b an owned deep copy of src's columns.
-func (b *Block) copyFrom(src *Block) {
-	b.N = src.N
-	b.Addrs = append(b.Addrs[:0], src.Addrs[:src.N]...)
-	b.PCDict = append(b.PCDict[:0], src.PCDict...)
-	b.PCIdx = append(b.PCIdx[:0], src.PCIdx[:src.N]...)
-	b.Think = append(b.Think[:0], src.Think[:src.N]...)
-	b.WriteBits = append(b.WriteBits[:0], src.WriteBits[:bitWords(src.N)]...)
-	b.DepBits = append(b.DepBits[:0], src.DepBits[:bitWords(src.N)]...)
-	b.shared = false
-	b.pcLookup = nil
-}
-
-// sealLast releases the finished block's append-side dictionary inverse.
-func (t *BlockTrace) sealLast() {
-	if len(t.blocks) > 0 {
-		t.blocks[len(t.blocks)-1].pcLookup = nil
-	}
-}
-
-// Seal releases append-side scratch (the PC dictionary inverse of the open
-// block). Appending after Seal still decodes correctly — the rebuilt
-// inverse may only duplicate dictionary entries — but callers should Seal
-// once the trace is done growing.
-func (t *BlockTrace) Seal() { t.sealLast() }
-
-// Len returns the total number of accesses.
-func (t *BlockTrace) Len() int { return t.n }
-
-// NumBlocks returns the number of blocks.
-func (t *BlockTrace) NumBlocks() int { return len(t.blocks) }
-
-// BlockAt returns a read-only pointer to the i-th block.
-func (t *BlockTrace) BlockAt(i int) *Block { return &t.blocks[i] }
-
-// Blocks returns a cursor replaying the trace block by block. The blocks
-// it hands out alias the trace's storage (no copying); many cursors may
-// replay one trace concurrently as long as none mutates it.
-func (t *BlockTrace) Blocks() BlockSource { return &blockTraceSource{t: t} }
-
-// Accesses decodes the whole trace into a fresh []Access.
-func (t *BlockTrace) Accesses() []Access {
-	out := make([]Access, 0, t.n)
-	for i := range t.blocks {
-		b := &t.blocks[i]
-		for j := 0; j < b.N; j++ {
-			out = append(out, b.At(j))
-		}
-	}
-	return out
-}
-
-// MemBytes returns the resident column storage in bytes — the footprint
-// number behind the arena's compaction win.
-func (t *BlockTrace) MemBytes() int {
-	total := 0
-	for i := range t.blocks {
-		b := &t.blocks[i]
-		total += 8*cap(b.Addrs) + 8*cap(b.PCDict) + 2*cap(b.PCIdx) +
-			2*cap(b.Think) + 8*cap(b.WriteBits) + 8*cap(b.DepBits)
-	}
-	return total
-}
-
-type blockTraceSource struct {
-	t *BlockTrace
-	i int
-}
-
-// NextBlock implements BlockSource by aliasing the next stored block.
-func (s *blockTraceSource) NextBlock(b *Block) bool {
-	if s.i >= len(s.t.blocks) {
-		return false
-	}
-	b.aliasFrom(&s.t.blocks[s.i])
-	s.i++
-	return true
 }

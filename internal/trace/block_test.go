@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"stems/internal/mem"
@@ -103,18 +104,40 @@ func TestBlockTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBlockTraceCursorAliases(t *testing.T) {
-	in := randomAccesses(4, BlockCap+100)
+// TestBlockTraceCursorMaterializes pins the cursor's contract over packed
+// storage: blocks come out widened into scratch the cursor owns and reuses
+// from block to block, read-only until Reset detaches them, and two
+// cursors over one trace never share scratch.
+func TestBlockTraceCursorMaterializes(t *testing.T) {
+	in := randomAccesses(4, 2*BlockCap+100)
+	for i := range in {
+		in[i].Addr &= 1<<32 - 1 // one 4 GB segment: the address column packs
+	}
 	bt := NewBlockTrace(in)
-	var b Block
-	cur := bt.Blocks()
-	if !cur.NextBlock(&b) {
+	var b, b2 Block
+	cur, cur2 := bt.Blocks(), bt.Blocks()
+	if !cur.NextBlock(&b) || !cur2.NextBlock(&b2) {
 		t.Fatal("no first block")
 	}
-	if &b.Addrs[0] != &bt.BlockAt(0).Addrs[0] {
-		t.Fatal("cursor block does not alias trace storage")
+	first := &b.Addrs[0]
+	if first == &b2.Addrs[0] {
+		t.Fatal("two cursors share widening scratch")
 	}
-	// A shared block refuses Append until Reset detaches it.
+	for i := 0; i < b.N; i++ {
+		if b.At(i) != in[i] || b2.At(i) != in[i] {
+			t.Fatalf("access %d = %+v / %+v, want %+v", i, b.At(i), b2.At(i), in[i])
+		}
+	}
+	if !cur.NextBlock(&b) {
+		t.Fatal("no second block")
+	}
+	if &b.Addrs[0] != first {
+		t.Fatal("cursor reallocated its scratch for the second block")
+	}
+	if b.At(0) != in[BlockCap] {
+		t.Fatalf("second block starts with %+v, want %+v", b.At(0), in[BlockCap])
+	}
+	// A handed-out block refuses Append until Reset detaches it.
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -127,12 +150,72 @@ func TestBlockTraceCursorAliases(t *testing.T) {
 	if !b.Append(Access{Addr: 9}) {
 		t.Fatal("Append after Reset failed")
 	}
-	if &bt.BlockAt(0).Addrs[0] == &b.Addrs[0] {
-		t.Fatal("Reset did not detach shared storage")
+	if &b.Addrs[0] == first {
+		t.Fatal("Reset did not detach the cursor's scratch")
 	}
-	if bt.BlockAt(0).At(0) != in[0] {
-		t.Fatal("trace storage corrupted by detached append")
+	for i, a := range bt.Accesses() {
+		if a != in[i] {
+			t.Fatalf("trace storage corrupted at access %d", i)
+		}
 	}
+}
+
+// TestBlockTraceCursorMixedEncodings replays blocks whose columns switch
+// encodings from block to block, so a cursor reusing its scratch must
+// rewrite what the previous block left there: one PC and one think time,
+// then dictionaries, then one PC and the same think time again, then a
+// second think time, then full-width columns, then the first shape again.
+func TestBlockTraceCursorMixedEncodings(t *testing.T) {
+	shapes := []struct{ his, pcs, thinks, think0 int }{
+		{1, 1, 1, 5}, {3, 40, 2, 5}, {1, 1, 1, 5}, {1, 1, 1, 6}, {300, 300, 300, 0}, {2, 1, 1, 6}, {1, 1, 1, 5},
+	}
+	var in []Access
+	var sizes blockSizes
+	for k, s := range shapes {
+		for i := 0; i < BlockCap; i++ {
+			in = append(in, Access{
+				Addr:  mem.Addr(uint64(i%s.his)<<32 | uint64(k*BlockCap+i)*64),
+				PC:    uint64(100 + i%s.pcs),
+				Think: uint16(s.think0 + i%s.thinks),
+				Write: i%9 == 0,
+			})
+			sizes.append()
+		}
+	}
+	checkBlockTrace(t, "mixed", NewBlockTrace(in), in, sizes)
+}
+
+// TestBlockTraceConcurrentCursors replays one packed trace from several
+// goroutines at once, as the arena's sweep cells do: each cursor widens
+// into its own scratch and reads the shared storage only.
+func TestBlockTraceConcurrentCursors(t *testing.T) {
+	in := randomAccesses(13, 3*BlockCap+11)
+	for i := range in {
+		in[i].Addr &= 1<<34 - 1
+	}
+	bt := NewBlockTrace(in)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var b Block
+			pos := 0
+			for cur := bt.Blocks(); cur.NextBlock(&b); {
+				for i := 0; i < b.N; i++ {
+					if a := b.At(i); a != in[pos+i] {
+						t.Errorf("access %d = %+v, want %+v", pos+i, a, in[pos+i])
+						return
+					}
+				}
+				pos += b.N
+			}
+			if pos != len(in) {
+				t.Errorf("cursor replayed %d accesses, want %d", pos, len(in))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // dualSource implements both Source and BlockSource, like *Reader.
@@ -159,6 +242,104 @@ func TestBlockTraceMemBytesSmallerThanSlice(t *testing.T) {
 	}
 }
 
+// fullWidthBytes is the column storage of an n-access block with a d-entry
+// PC dictionary at full width: what every block took before packing.
+func fullWidthBytes(n, d int) int {
+	return 8*n + 8*d + 2*n + 2*n + 2*8*bitWords(n)
+}
+
+// packOne packs the accesses as one block.
+func packOne(accs []Access) packedBlock {
+	var b Block
+	for _, a := range accs {
+		b.Append(a)
+	}
+	return newPacker().pack(&b)
+}
+
+// TestBlockTracePackingChoices pins the encoding each column takes: a
+// dictionary when it holds at most 256 entries and makes the column
+// smaller, no index column when it holds one, full width otherwise.
+func TestBlockTracePackingChoices(t *testing.T) {
+	mk := func(n, his, pcs, thinks int) []Access {
+		out := make([]Access, n)
+		for i := range out {
+			out[i] = Access{
+				Addr:  mem.Addr(uint64(i%his)<<32 | uint64(i)*64),
+				PC:    uint64(i % pcs),
+				Think: uint16(i % thinks),
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name                                 string
+		n, his, pcs, thinks                  int
+		addrs, hiIdx, pcIdx8, pcIdx16, think bool
+		thinkIdx                             bool
+	}{
+		{name: "one of each", n: BlockCap, his: 1, pcs: 1, thinks: 1},
+		{name: "256 of each", n: BlockCap, his: 256, pcs: 256, thinks: 256, hiIdx: true, pcIdx8: true, thinkIdx: true},
+		{name: "257 of each", n: BlockCap, his: 257, pcs: 257, thinks: 257, addrs: true, pcIdx16: true, think: true},
+		{name: "suite-like", n: BlockCap, his: 3, pcs: 65, thinks: 2, hiIdx: true, pcIdx8: true, thinkIdx: true},
+		// A dictionary that would not make the column smaller is not used.
+		{name: "one access", n: 1, his: 1, pcs: 1, thinks: 1, addrs: true, think: true},
+		{name: "short, distinct", n: 40, his: 40, pcs: 40, thinks: 40, addrs: true, pcIdx8: true, think: true},
+	} {
+		accs := mk(c.n, c.his, c.pcs, c.thinks)
+		p := packOne(accs)
+		got := [...]bool{p.addrs != nil, p.hiIdx != nil, p.pcIdx8 != nil, p.pcIdx16 != nil, p.think != nil, p.thinkIdx != nil}
+		want := [...]bool{c.addrs, c.hiIdx, c.pcIdx8, c.pcIdx16, c.think, c.thinkIdx}
+		if got != want {
+			t.Errorf("%s: full addrs, hi index, pc8, pc16, full think, think index = %v, want %v", c.name, got, want)
+		}
+		if (p.addrs == nil) != (p.lo != nil) || (p.think == nil) != (p.thinkDict != nil) {
+			t.Errorf("%s: column stored both packed and at full width, or neither", c.name)
+		}
+		if full := fullWidthBytes(c.n, c.pcs); p.memBytes() > full {
+			t.Errorf("%s: packed block takes %d bytes, full width %d", c.name, p.memBytes(), full)
+		}
+		bt := NewBlockTrace(accs)
+		for i, a := range bt.Accesses() {
+			if a != accs[i] {
+				t.Fatalf("%s: access %d = %+v, want %+v", c.name, i, a, accs[i])
+			}
+		}
+	}
+	// The suite's shapes pack to 5.3-7.5 bytes per access: one 4 GB
+	// segment and one think value at the low end, three segments, 65 PCs
+	// and two think values at the high end.
+	for _, c := range []struct {
+		his, pcs, thinks int
+		max              float64
+	}{{1, 20, 1, 5.3}, {3, 65, 2, 7.5}} {
+		if p := packOne(mk(BlockCap, c.his, c.pcs, c.thinks)); float64(p.memBytes())/BlockCap > c.max {
+			t.Errorf("%+v: block packs to %.2f bytes/access, want <= %.1f", c, float64(p.memBytes())/BlockCap, c.max)
+		}
+	}
+}
+
+// TestBlockTraceNeverLarger pins that packing moves no block boundary and
+// grows no block over randomAccesses' scattered 44-bit addresses and 300
+// think values, where both columns stay at full width.
+func TestBlockTraceNeverLarger(t *testing.T) {
+	for _, n := range []int{1, 63, BlockCap - 1, BlockCap, 4*BlockCap + 1} {
+		in := randomAccesses(12, n)
+		bt := NewBlockTrace(in)
+		if want := (n + BlockCap - 1) / BlockCap; bt.NumBlocks() != want {
+			t.Fatalf("n=%d: NumBlocks = %d, want %d", n, bt.NumBlocks(), want)
+		}
+		full := 0
+		for i := range bt.blocks {
+			p := &bt.blocks[i]
+			full += fullWidthBytes(p.n, len(p.pcDict))
+		}
+		if bt.MemBytes() > full {
+			t.Fatalf("n=%d: MemBytes = %d, full width %d", n, bt.MemBytes(), full)
+		}
+	}
+}
+
 func TestBlockTraceAppendBlock(t *testing.T) {
 	in := randomAccesses(9, 2*BlockCap+77)
 	src := NewBlockTrace(in)
@@ -178,9 +359,19 @@ func TestBlockTraceAppendBlock(t *testing.T) {
 			t.Fatalf("access %d = %+v, want %+v", i, got[i], in[i])
 		}
 	}
-	// Copies own their storage.
-	if &dst.BlockAt(0).Addrs[0] == &src.BlockAt(0).Addrs[0] {
-		t.Fatal("AppendBlock aliased the source block")
+	// Copies own their storage: rewriting the appended block afterwards
+	// leaves the trace as it was.
+	var own Block
+	for _, a := range in[:BlockCap] {
+		own.Append(a)
+	}
+	cp := &BlockTrace{}
+	cp.AppendBlock(&own)
+	own.Addrs[0], own.PCDict[0], own.Think[0], own.WriteBits[0] = 1, 2, 3, ^uint64(0)
+	for i, a := range cp.Accesses() {
+		if a != in[i] {
+			t.Fatalf("AppendBlock aliased the source block: access %d = %+v, want %+v", i, a, in[i])
+		}
 	}
 
 	// Appending a block onto a partial tail falls back to per-access

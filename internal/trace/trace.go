@@ -1,8 +1,10 @@
 // Package trace defines the memory-access record that flows from workload
 // generators into the simulator and the two stream shapes that carry it:
 // the per-access Source and the columnar BlockSource the replay pipeline
-// runs on. It also holds the compact resident BlockTrace, the Arena that
-// shares generated traces, and the binary trace file format.
+// runs on. It also holds the compact resident BlockTrace (blocks packed
+// column by column into their narrowest encoding, 5.3-6.3 bytes/access on
+// the suite), the Arena that shares generated traces, and the binary trace
+// file format.
 //
 // The paper's methodology (§5.1) analyzes memory traces collected with
 // in-order functional simulation; this package is the equivalent interface

@@ -106,7 +106,8 @@ func generateDSS(p dssParams, seed int64, n int) []trace.Access {
 		pcHash  uint64 = 0x2900
 	)
 
-	out := make([]trace.Access, 0, n)
+	// A step scans one page and may walk one inner path.
+	out := newTrace(n, len(scanLayout.offsets)+innerPathLen*len(innerLayout.offsets))
 	scanPool := &pagePool{} // reused wrapper for the current scan page
 	for page := 0; len(out) < n; page++ {
 		scanPool.frames = append(scanPool.frames[:0], frameAt(page))

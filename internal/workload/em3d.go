@@ -53,7 +53,9 @@ func GenerateEM3D(seed int64, n int) []trace.Access {
 	// iteration (the list is not modified between relaxation steps).
 	order := rng.Perm(nodes)
 
-	out := make([]trace.Access, 0, n)
+	// A step visits one node: its block 0 and at most offsetPool payload
+	// blocks.
+	out := newTrace(n, 1+offsetPool)
 	for len(out) < n {
 		for _, node := range order {
 			for i, off := range patterns[node] {

@@ -35,7 +35,8 @@ func GenerateOcean(seed int64, n int) []trace.Access {
 		return base[arr] + mem.Addr(r*rowBytes+c*8)
 	}
 
-	out := make([]trace.Access, 0, n)
+	// A step reads three rows of each array and stores once.
+	out := newTrace(n, 3*arrays+1)
 	for len(out) < n {
 		for r := 1; r < rows-1 && len(out) < n; r++ {
 			// One visit per block of the row (8 doubles per block):

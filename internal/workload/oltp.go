@@ -117,7 +117,8 @@ func generateOLTP(p oltpParams, seed int64, n int) []trace.Access {
 		pcHot      uint64 = 0x9100
 	)
 
-	out := make([]trace.Access, 0, n)
+	// A step is one page's layout, a noise access and a hot access.
+	out := newTrace(n, p.accPerPage+2)
 	recent := rng.Intn(p.paths)
 	for len(out) < n {
 		// Choose the transaction's path: mostly a recent/hot one.

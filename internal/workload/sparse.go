@@ -51,7 +51,7 @@ func GenerateSparse(seed int64, n int) []trace.Access {
 	xBase := heapBase + (1 << 32)
 	xAddr := func(c int) mem.Addr { return xBase + mem.Addr(c*8) }
 
-	out := make([]trace.Access, 0, n)
+	out := newTrace(n, rowAcc+gathers)
 	for iter := 0; len(out) < n; iter++ {
 		order := orderEven
 		if iter%2 == 1 {

@@ -106,7 +106,9 @@ func generateWeb(p webParams, seed int64, n int) []trace.Access {
 	scratchBase := heapBase + (1 << 35)
 	scratchRegion := 0
 
-	out := make([]trace.Access, 0, n)
+	// The last page of a request (layout and noise access) is followed by
+	// its connection scratch.
+	out := newTrace(n, p.accPerPage+1+len(scratchLayout.offsets))
 	for len(out) < n {
 		var obj *webObject
 		if rng.Float64() < p.hotProb {

@@ -151,6 +151,14 @@ func newLayout(rng *rand.Rand, trigger, k int) layout {
 	return layout{offsets: offsets}
 }
 
+// newTrace returns an empty trace with room for n accesses plus the most
+// one generator step appends past n: generators test the length only
+// between steps, so a step that starts at n-1 accesses may overshoot by
+// all but one of its accesses. Sized so, the trace is allocated once.
+func newTrace(n, step int) []trace.Access {
+	return make([]trace.Access, 0, n+step)
+}
+
 // emit appends the layout's accesses on a page: the first (trigger) access
 // optionally dependent (a pointer chase landed here), the rest independent
 // (the OoO core can issue them in parallel once the page is known). jitter
@@ -159,7 +167,8 @@ func newLayout(rng *rand.Rand, trigger, k int) layout {
 func (l layout) emit(out []trace.Access, rng *rand.Rand, pool *pagePool, page int, pc uint64, depTrigger bool, jitter float64) []trace.Access {
 	offs := l.offsets
 	if jitter > 0 && len(offs) > 2 {
-		offs = append([]int(nil), l.offsets...)
+		var buf [mem.RegionBlocks]int // newLayout caps a layout at a region
+		offs = buf[:copy(buf[:], l.offsets)]
 		for i := 1; i+1 < len(offs); i++ {
 			if rng.Float64() < jitter {
 				offs[i], offs[i+1] = offs[i+1], offs[i]

@@ -25,6 +25,23 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
+// TestGenerateAllocatesOnce pins that every generator sizes its trace for
+// its last step's overshoot: a trace that outgrew its first allocation
+// would have a capacity at least a quarter above its length.
+func TestGenerateAllocatesOnce(t *testing.T) {
+	for _, s := range Suite() {
+		for _, n := range []int{4097, 50_000, 123_457} {
+			out := s.Generate(3, n)
+			if len(out) != n {
+				t.Fatalf("%s: %d accesses, want %d", s.Name, len(out), n)
+			}
+			if cap(out) > n+2*mem.RegionBlocks {
+				t.Errorf("%s, n=%d: capacity %d, so the trace was reallocated as it grew", s.Name, n, cap(out))
+			}
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	if _, err := ByName("DB2"); err != nil {
 		t.Fatalf("ByName(DB2): %v", err)
