@@ -7,11 +7,10 @@
 package stems_test
 
 import (
-	"runtime"
-	"runtime/debug"
 	"slices"
 	"testing"
 
+	"stems/internal/allocgate"
 	"stems/internal/config"
 	"stems/internal/lru"
 	"stems/internal/mem"
@@ -19,28 +18,6 @@ import (
 	"stems/internal/trace"
 	"stems/internal/workload"
 )
-
-// mallocs runs f once to warm it, then runs times more, and returns the
-// exact number of heap allocations the measured runs made. Unlike
-// testing.AllocsPerRun, whose integer mean reads 0 for up to runs-1
-// allocations, a gate on this count sees a single allocation. The
-// collector is stopped while f runs, so no runtime work that follows a
-// collection (such as the cleanup of the unique package's map) lands in
-// the count.
-func mallocs(runs int, f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	runtime.Gosched()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
-	}
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
 
 // gateOptions is the scaled system with every predictor table and
 // miss-order ring small enough that a gateWarmup-access DB2 trace fills it
@@ -118,7 +95,7 @@ func TestMachineStepZeroAlloc(t *testing.T) {
 	accs := bt.Accesses()
 	pos := 0
 	const stepsPerRun = 1000
-	if n := mallocs(50, func() {
+	if n := allocgate.Mallocs(50, func() {
 		for i := 0; i < stepsPerRun; i++ {
 			m.Step(accs[pos%len(accs)])
 			pos++
@@ -142,7 +119,7 @@ func TestStepBlockZeroAlloc(t *testing.T) {
 			m, bt := warmMachine(t, kind)
 			blocks := ownedBlocks(bt)
 			cur := 0
-			if n := mallocs(50, func() {
+			if n := allocgate.Mallocs(50, func() {
 				m.StepBlock(blocks[cur%len(blocks)])
 				cur++
 			}); n != 0 {
@@ -193,7 +170,7 @@ func TestFusedStepZeroAlloc(t *testing.T) {
 		}
 	}
 	cur := 0
-	if n := mallocs(50, func() {
+	if n := allocgate.Mallocs(50, func() {
 		b := blocks[cur%len(blocks)]
 		for _, m := range machines {
 			m.StepBlock(b)
@@ -237,8 +214,8 @@ func TestBlockTraceCursorAllocs(t *testing.T) {
 			}
 		}
 	}
-	first := mallocs(10, drain(1))
-	all := mallocs(10, drain(bt.NumBlocks()))
+	first := allocgate.Mallocs(10, drain(1))
+	all := allocgate.Mallocs(10, drain(bt.NumBlocks()))
 	if first > 20 || all != first {
 		t.Fatalf("10 cursors allocated %d objects reading one block and %d draining %d blocks, want at most 20 and equal", first, all, bt.NumBlocks())
 	}
@@ -257,7 +234,7 @@ func TestLRUMapZeroAlloc(t *testing.T) {
 		m.Put(k, k)
 	}
 	k := uint64(0)
-	if n := mallocs(100, func() {
+	if n := allocgate.Mallocs(100, func() {
 		for i := 0; i < 1000; i++ {
 			if _, ok := m.Get(k % (2 * capacity)); !ok {
 				m.Put(k%(2*capacity), k) // insert with eviction
@@ -281,7 +258,7 @@ func TestLRUMapDeleteZeroAlloc(t *testing.T) {
 		m.Put(k, int(k))
 	}
 	k := uint64(0)
-	if n := mallocs(100, func() {
+	if n := allocgate.Mallocs(100, func() {
 		for i := 0; i < 256; i++ {
 			m.Delete(k % capacity)
 			m.Put(k%capacity, int(k))

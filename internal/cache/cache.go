@@ -41,26 +41,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Cache is a set-associative, LRU-replacement, write-allocate cache of
-// 64-byte blocks. It tracks presence only (no data payload); the simulator
-// is trace-driven.
+// Cache is a set-associative, LRU-replacement cache of 64-byte blocks. It
+// tracks presence only (no data payload); the simulator is trace-driven.
 //
-// Way state is stored column-wise: one contiguous tag array (way-major
-// within each set) plus per-set valid/dirty bitmasks and a parallel LRU
-// stamp array. A probe scans the set's tags in one cache line (an 8-way
-// set is exactly 64 bytes of tags) instead of striding over padded
-// per-way structs — the probe loops sit on the per-access simulation path
-// for every level of the hierarchy and on the stream engine's
-// duplicate-fetch filter.
+// Each set is one contiguous run of words: its recency words, then its
+// tags. A recency word packs one age byte per way, eight ways to a word
+// (0 is the most recent way, ways-1 the least), so a touch ages every
+// younger way with a few word-wide operations, and the victim — the way
+// whose age is ways-1 — is found without a per-way scan. An empty way
+// holds a tag no block address can equal, and the empty ways always hold
+// the oldest ages, the lowest-numbered way oldest, so the victim is the
+// lowest empty way while one is left and the least recently used way
+// after that. Bytes past the last way of a word hold an age no way
+// reaches, so no operation moves them.
 type Cache struct {
-	cfg     Config
 	ways    int
+	words   int // recency words per set
+	stride  int // words per set: words + ways
 	setMask uint64
-	tags    []mem.Addr // sets × ways block base addresses
-	lrus    []uint64   // sets × ways last-touch stamps; larger = more recent
-	valid   []uint64   // per-set validity bitmask over ways
-	dirty   []uint64   // per-set dirty bitmask over ways
-	stamp   uint64
+	sets    []uint64
 
 	// OnEvict, if non-nil, is invoked with the block base address of every
 	// valid block displaced by a fill (or removed by Invalidate). The
@@ -71,11 +70,20 @@ type Cache struct {
 	// that follows, so a miss scans its set once per level: pendBlock is
 	// the missed block and pendWay the victim way, or -1 when there is no
 	// hand-off. Any other mutation clears it.
-	pendBlock mem.Addr
+	pendBlock uint64
 	pendWay   int
-
-	hits, misses uint64
 }
+
+const (
+	// empty is the tag of an empty way: block addresses are multiples of
+	// mem.BlockSize, so none equals it.
+	empty = ^uint64(0)
+	// unused is the age of the bytes past the last way of a recency word.
+	unused = 0x7f
+
+	lsb = 0x0101010101010101 // the low bit of every byte
+	msb = 0x8080808080808080 // the high bit of every byte
+)
 
 // New constructs a cache; it panics if cfg is invalid (a configuration bug,
 // not a runtime condition).
@@ -83,118 +91,130 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := cfg.SizeBytes / mem.BlockSize / cfg.Ways
-	return &Cache{
-		cfg:     cfg,
-		ways:    cfg.Ways,
-		setMask: uint64(sets - 1),
-		tags:    make([]mem.Addr, sets*cfg.Ways),
-		lrus:    make([]uint64, sets*cfg.Ways),
-		valid:   make([]uint64, sets),
-		dirty:   make([]uint64, sets),
+	ways := cfg.Ways
+	words := (ways + 7) / 8
+	c := &Cache{
+		ways:    ways,
+		words:   words,
+		stride:  words + ways,
+		setMask: uint64(cfg.SizeBytes/mem.BlockSize/ways - 1),
 		pendWay: -1,
 	}
+	c.sets = make([]uint64, int(c.setMask+1)*c.stride)
+	// Every way starts empty, way 0 oldest.
+	for i := 0; i < words; i++ {
+		c.sets[i] = unused * lsb
+	}
+	for w := 0; w < ways; w++ {
+		c.setAge(0, w, uint64(ways-1-w))
+		c.sets[words+w] = empty
+	}
+	for i := c.stride; i < len(c.sets); i += c.stride {
+		copy(c.sets[i:i+c.stride], c.sets[:c.stride])
+	}
+	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.valid) }
+// locate returns the block address of addr and the offset of its set.
+func (c *Cache) locate(addr mem.Addr) (uint64, int) {
+	block := addr.Block()
+	return uint64(block), int(block.BlockIndex()&c.setMask) * c.stride
+}
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.cfg.Ways }
+// find returns the way of the set at base that holds block, or -1.
+func (c *Cache) find(base int, block uint64) int {
+	for i, t := range c.sets[base+c.words : base+c.stride] {
+		if t == block {
+			return i
+		}
+	}
+	return -1
+}
+
+// age returns the age byte of way w in the set at base.
+func (c *Cache) age(base, w int) uint64 {
+	return c.sets[base+w>>3] >> (w & 7 * 8) & 0xff
+}
+
+// setAge stores age a for way w in the set at base.
+func (c *Cache) setAge(base, w int, a uint64) {
+	p := &c.sets[base+w>>3]
+	*p = *p&^(0xff<<(w&7*8)) | a<<(w&7*8)
+}
+
+// touch makes way w the set's most recent way: every way younger than w
+// ages by one. Ages stay below 0x80, so OR-ing in each byte's high bit and
+// subtracting w's age borrows across no byte boundary, and the high bit
+// left in a byte says whether its age is at least w's.
+func (c *Cache) touch(base, w int) {
+	a := c.age(base, w)
+	if a == 0 {
+		return
+	}
+	ab := a * lsb
+	ranks := c.sets[base : base+c.words]
+	for i, x := range ranks {
+		younger := ^((x | msb) - ab) & msb
+		ranks[i] = x + younger>>7
+	}
+	c.setAge(base, w, 0)
+}
+
+// victim returns the way a fill of the set at base replaces: the oldest,
+// found by searching each recency word for a zero byte in its XOR with the
+// oldest age. The lowest flagged byte of the zero-byte test is exact.
+func (c *Cache) victim(base int) int {
+	oldest := uint64(c.ways-1) * lsb
+	for i, x := range c.sets[base : base+c.words] {
+		y := x ^ oldest
+		if z := (y - lsb) &^ y & msb; z != 0 {
+			return i*8 + bits.TrailingZeros64(z)>>3
+		}
+	}
+	panic("cache: set has no oldest way")
+}
 
 // Contains reports whether the block holding addr is present, without
-// touching LRU state or statistics.
+// touching LRU state.
 func (c *Cache) Contains(addr mem.Addr) bool {
-	block := addr.Block()
-	set := block.BlockIndex() & c.setMask
-	vm := c.valid[set]
-	base := int(set) * c.ways
-	for _, t := range c.tags[base : base+c.ways] {
-		if t == block && vm&1 != 0 {
-			return true
-		}
-		vm >>= 1
-	}
-	return false
+	block, base := c.locate(addr)
+	return c.find(base, block) >= 0
 }
 
 // Access performs a demand reference to addr. It returns true on hit. On
-// hit the block's LRU state is refreshed (and marked dirty for writes). On
-// miss the cache is unchanged: the caller decides whether to Fill (modeling
-// the fill that follows the miss) so that prefetch buffers can intervene.
-func (c *Cache) Access(addr mem.Addr, write bool) bool {
-	block := addr.Block()
-	set := block.BlockIndex() & c.setMask
-	vm := c.valid[set]
-	base := int(set) * c.ways
-	c.stamp++
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == block && vm>>uint(i)&1 != 0 {
-			c.lrus[base+i] = c.stamp
-			if write {
-				c.dirty[set] |= 1 << uint(i)
-			}
-			c.hits++
-			c.pendWay = -1
-			return true
-		}
+// hit the block's LRU state is refreshed. On miss the cache is unchanged:
+// the caller decides whether to Fill (modeling the fill that follows the
+// miss) so that prefetch buffers can intervene.
+func (c *Cache) Access(addr mem.Addr) bool {
+	block, base := c.locate(addr)
+	if w := c.find(base, block); w >= 0 {
+		c.touch(base, w)
+		c.pendWay = -1
+		return true
 	}
-	c.misses++
-	c.pendBlock, c.pendWay = block, c.victim(base, vm)
+	c.pendBlock, c.pendWay = block, c.victim(base)
 	return false
-}
-
-// victim returns the way a fill of the set at base replaces: the lowest
-// invalid way, else the least recently used one.
-func (c *Cache) victim(base int, vm uint64) int {
-	if invalid := ^vm & (1<<uint(c.ways) - 1); invalid != 0 {
-		return bits.TrailingZeros64(invalid)
-	}
-	lrus := c.lrus[base : base+c.ways]
-	v := 0
-	for i, l := range lrus {
-		if l < lrus[v] {
-			v = i
-		}
-	}
-	return v
 }
 
 // Fill installs the block holding addr, evicting the LRU way if the set is
 // full. Filling a block that is already present refreshes it instead.
 // Right after a missing Access to the same block, with nothing mutated in
 // between, the set is not scanned again: the miss already chose the way.
-func (c *Cache) Fill(addr mem.Addr, write bool) {
-	block := addr.Block()
-	set := block.BlockIndex() & c.setMask
-	vm := c.valid[set]
-	base := int(set) * c.ways
-	c.stamp++
-	victim := c.pendWay
+func (c *Cache) Fill(addr mem.Addr) {
+	block, base := c.locate(addr)
+	w := c.pendWay
 	c.pendWay = -1
-	if victim < 0 || c.pendBlock != block {
-		for i, t := range c.tags[base : base+c.ways] {
-			if t == block && vm>>uint(i)&1 != 0 {
-				c.lrus[base+i] = c.stamp
-				if write {
-					c.dirty[set] |= 1 << uint(i)
-				}
-				return
-			}
+	if w < 0 || c.pendBlock != block {
+		if w = c.find(base, block); w < 0 {
+			w = c.victim(base)
 		}
-		victim = c.victim(base, vm)
 	}
-	if vm>>uint(victim)&1 != 0 && c.OnEvict != nil {
-		c.OnEvict(c.tags[base+victim])
+	tag := &c.sets[base+c.words+w]
+	if old := *tag; old != block && old != empty && c.OnEvict != nil {
+		c.OnEvict(mem.Addr(old))
 	}
-	c.tags[base+victim] = block
-	c.lrus[base+victim] = c.stamp
-	c.valid[set] |= 1 << uint(victim)
-	if write {
-		c.dirty[set] |= 1 << uint(victim)
-	} else {
-		c.dirty[set] &^= 1 << uint(victim)
-	}
+	*tag = block
+	c.touch(base, w)
 }
 
 // Invalidate removes the block holding addr if present, reporting whether it
@@ -203,33 +223,31 @@ func (c *Cache) Fill(addr mem.Addr, write bool) {
 // invalidated from the L1 cache" (§2.4).
 func (c *Cache) Invalidate(addr mem.Addr) bool {
 	c.pendWay = -1
-	block := addr.Block()
-	set := block.BlockIndex() & c.setMask
-	vm := c.valid[set]
-	base := int(set) * c.ways
-	for i, t := range c.tags[base : base+c.ways] {
-		if t == block && vm>>uint(i)&1 != 0 {
-			c.valid[set] &^= 1 << uint(i)
-			if c.OnEvict != nil {
-				c.OnEvict(block)
-			}
-			return true
+	block, base := c.locate(addr)
+	w := c.find(base, block)
+	if w < 0 {
+		return false
+	}
+	// The way joins the empty ways, which hold the oldest ages in way
+	// order: it takes the age below the empty ways numbered under it, and
+	// every way between its old age and that one gets younger by one.
+	tags := c.sets[base+c.words : base+c.stride]
+	tags[w] = empty
+	to := uint64(c.ways - 1)
+	for _, t := range tags[:w] {
+		if t == empty {
+			to--
 		}
 	}
-	return false
-}
-
-// Stats returns cumulative demand hit and miss counts.
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
-// ResetStats clears hit/miss counters without touching cache contents.
-func (c *Cache) ResetStats() { c.hits, c.misses = 0, 0 }
-
-// Occupancy returns the number of valid blocks currently resident.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, vm := range c.valid {
-		n += bits.OnesCount64(vm)
+	from := c.age(base, w)
+	for j := range tags {
+		if a := c.age(base, j); a > from && a <= to {
+			c.setAge(base, j, a-1)
+		}
 	}
-	return n
+	c.setAge(base, w, to)
+	if c.OnEvict != nil {
+		c.OnEvict(mem.Addr(block))
+	}
+	return true
 }

@@ -1,12 +1,27 @@
 package cache
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"stems/internal/mem"
 )
+
+// occupancy returns the number of valid blocks resident in c.
+func occupancy(c *Cache) int {
+	n := 0
+	for base := 0; base < len(c.sets); base += c.stride {
+		for _, t := range c.sets[base+c.words : base+c.stride] {
+			if t != empty {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 func small() *Cache {
 	// 4 sets x 2 ways x 64B = 512B cache.
@@ -51,17 +66,17 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 func TestMissThenFillThenHit(t *testing.T) {
 	c := small()
 	a := mem.Addr(0x1000)
-	if c.Access(a, false) {
+	if c.Access(a) {
 		t.Fatal("access to empty cache hit")
 	}
-	c.Fill(a, false)
-	if !c.Access(a, false) {
+	c.Fill(a)
+	if !c.Access(a) {
 		t.Fatal("access after fill missed")
 	}
-	if !c.Access(a+63, false) {
+	if !c.Access(a + 63) {
 		t.Fatal("access to same block missed")
 	}
-	if c.Access(a+64, false) {
+	if c.Access(a + 64) {
 		t.Fatal("access to next block hit")
 	}
 }
@@ -73,10 +88,10 @@ func TestLRUEviction(t *testing.T) {
 
 	// Three blocks mapping to the same set (4 sets, stride 4*64 = 256B).
 	a0, a1, a2 := mem.Addr(0), mem.Addr(256), mem.Addr(512)
-	c.Fill(a0, false)
-	c.Fill(a1, false)
-	c.Access(a0, false) // a0 now MRU; a1 is LRU
-	c.Fill(a2, false)   // must evict a1
+	c.Fill(a0)
+	c.Fill(a1)
+	c.Access(a0) // a0 now MRU; a1 is LRU
+	c.Fill(a2)   // must evict a1
 	if len(evicted) != 1 || evicted[0] != a1 {
 		t.Fatalf("evicted = %v, want [%d]", evicted, a1)
 	}
@@ -88,10 +103,10 @@ func TestLRUEviction(t *testing.T) {
 func TestFillRefreshesExisting(t *testing.T) {
 	c := small()
 	a0, a1, a2 := mem.Addr(0), mem.Addr(256), mem.Addr(512)
-	c.Fill(a0, false)
-	c.Fill(a1, false)
-	c.Fill(a0, false) // refresh a0; a1 becomes LRU
-	c.Fill(a2, false)
+	c.Fill(a0)
+	c.Fill(a1)
+	c.Fill(a0) // refresh a0; a1 becomes LRU
+	c.Fill(a2)
 	if c.Contains(a1) {
 		t.Error("refreshed fill did not update LRU: a1 survived")
 	}
@@ -105,7 +120,7 @@ func TestInvalidate(t *testing.T) {
 	var evicted []mem.Addr
 	c.OnEvict = func(b mem.Addr) { evicted = append(evicted, b) }
 	a := mem.Addr(0x40)
-	c.Fill(a, false)
+	c.Fill(a)
 	if !c.Invalidate(a) {
 		t.Fatal("Invalidate on present block returned false")
 	}
@@ -120,29 +135,12 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	c := small()
-	c.Access(0, false) // miss
-	c.Fill(0, false)
-	c.Access(0, false)  // hit
-	c.Access(10, false) // hit (same block)
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = (%d,%d), want (2,1)", hits, misses)
-	}
-	c.ResetStats()
-	hits, misses = c.Stats()
-	if hits != 0 || misses != 0 {
-		t.Errorf("stats after reset = (%d,%d)", hits, misses)
-	}
-}
-
 func TestOccupancyBounded(t *testing.T) {
 	c := small()
 	for i := 0; i < 1000; i++ {
-		c.Fill(mem.Addr(i*64), false)
+		c.Fill(mem.Addr(i * 64))
 	}
-	if occ := c.Occupancy(); occ != 8 {
+	if occ := occupancy(c); occ != 8 {
 		t.Errorf("occupancy = %d, want full capacity 8", occ)
 	}
 }
@@ -153,8 +151,8 @@ func TestFillThenHitProperty(t *testing.T) {
 	c := New(Config{SizeBytes: 2048, Ways: 4})
 	f := func(raw uint32) bool {
 		a := mem.Addr(raw)
-		c.Fill(a, false)
-		return c.Access(a, false) && c.Occupancy() <= 32
+		c.Fill(a)
+		return c.Access(a) && occupancy(c) <= 32
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -170,7 +168,7 @@ func TestFillThenHitProperty(t *testing.T) {
 // name the reference's LRU block and fire before the new block is
 // installed.
 func TestLRUMatchesReferenceModel(t *testing.T) {
-	for _, ways := range []int{1, 2, 8, 64} {
+	for _, ways := range testWays {
 		c := New(Config{SizeBytes: ways * 64, Ways: ways}) // one set
 		var ref []mem.Addr                                 // front = LRU, back = MRU
 		refIndex := func(b mem.Addr) int {
@@ -201,7 +199,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(42 + ways)))
 		for step := 0; step < 20000; step++ {
 			b := mem.Addr(rng.Intn(blocks) * 64)
-			if c.Access(b, false) {
+			if c.Access(b) {
 				refRemove(b)
 				ref = append(ref, b)
 			} else {
@@ -234,7 +232,7 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 				}
 				ref = append(ref, b)
 				filling, evicted, inFill = b, evicted[:0], true
-				c.Fill(b, false)
+				c.Fill(b)
 				inFill = false
 				if len(evicted) != len(want) || (len(want) == 1 && evicted[0] != want[0]) {
 					t.Fatalf("ways=%d step %d: Fill(%d) evicted %v, reference LRU victim %v", ways, step, b, evicted, want)
@@ -256,13 +254,199 @@ func TestEvictionCallbackOnlyForValidVictims(t *testing.T) {
 	c.OnEvict = func(mem.Addr) { calls++ }
 	// Filling an empty cache must not fire evictions.
 	for i := 0; i < 8; i++ {
-		c.Fill(mem.Addr(i*64), false)
+		c.Fill(mem.Addr(i * 64))
 	}
 	if calls != 0 {
 		t.Errorf("evictions while filling empty cache: %d", calls)
 	}
-	c.Fill(mem.Addr(8*64), false)
+	c.Fill(mem.Addr(8 * 64))
 	if calls != 1 {
 		t.Errorf("evictions after overflow: %d, want 1", calls)
+	}
+}
+
+// testWays are the associativities the model tests cover: one way, the
+// replay's 2 and 8, a way either side of a full recency word (7 and 9, 17),
+// two and eight full words (16 and 64), and an odd count in between.
+var testWays = []int{1, 2, 3, 7, 8, 9, 16, 17, 64}
+
+// stampCache is the set model the packed recency words replaced, kept as
+// the differential reference: a last-touch stamp per way, a validity mask
+// per set, the victim the lowest invalid way or else the smallest stamp,
+// and the same miss-to-fill victim hand-off.
+type stampCache struct {
+	ways      int
+	setMask   uint64
+	tags      []mem.Addr
+	lrus      []uint64
+	valid     []uint64
+	stamp     uint64
+	onEvict   func(mem.Addr)
+	pendBlock mem.Addr
+	pendWay   int
+}
+
+func newStampCache(cfg Config) *stampCache {
+	sets := cfg.SizeBytes / mem.BlockSize / cfg.Ways
+	return &stampCache{
+		ways:    cfg.Ways,
+		setMask: uint64(sets - 1),
+		tags:    make([]mem.Addr, sets*cfg.Ways),
+		lrus:    make([]uint64, sets*cfg.Ways),
+		valid:   make([]uint64, sets),
+		pendWay: -1,
+	}
+}
+
+// find returns the set, its first way's index and the way holding block,
+// or -1.
+func (c *stampCache) find(addr mem.Addr) (set uint64, base, way int) {
+	set = addr.Block().BlockIndex() & c.setMask
+	base = int(set) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == addr.Block() && c.valid[set]>>uint(i)&1 != 0 {
+			return set, base, i
+		}
+	}
+	return set, base, -1
+}
+
+func (c *stampCache) victim(set uint64, base int) int {
+	if invalid := ^c.valid[set] & (1<<uint(c.ways) - 1); invalid != 0 {
+		return bits.TrailingZeros64(invalid)
+	}
+	v := 0
+	for i, l := range c.lrus[base : base+c.ways] {
+		if l < c.lrus[base+v] {
+			v = i
+		}
+	}
+	return v
+}
+
+func (c *stampCache) contains(addr mem.Addr) bool {
+	_, _, w := c.find(addr)
+	return w >= 0
+}
+
+func (c *stampCache) access(addr mem.Addr) bool {
+	set, base, w := c.find(addr)
+	c.stamp++
+	if w >= 0 {
+		c.lrus[base+w] = c.stamp
+		c.pendWay = -1
+		return true
+	}
+	c.pendBlock, c.pendWay = addr.Block(), c.victim(set, base)
+	return false
+}
+
+func (c *stampCache) fill(addr mem.Addr) {
+	set, base, w := c.find(addr)
+	c.stamp++
+	victim := c.pendWay
+	c.pendWay = -1
+	if victim < 0 || c.pendBlock != addr.Block() {
+		if w >= 0 {
+			c.lrus[base+w] = c.stamp
+			return
+		}
+		victim = c.victim(set, base)
+	}
+	if c.valid[set]>>uint(victim)&1 != 0 {
+		c.onEvict(c.tags[base+victim])
+	}
+	c.tags[base+victim] = addr.Block()
+	c.lrus[base+victim] = c.stamp
+	c.valid[set] |= 1 << uint(victim)
+}
+
+func (c *stampCache) invalidate(addr mem.Addr) bool {
+	c.pendWay = -1
+	set, _, w := c.find(addr)
+	if w < 0 {
+		return false
+	}
+	c.valid[set] &^= 1 << uint(w)
+	c.onEvict(addr.Block())
+	return true
+}
+
+// Differential test: the packed recency words against the stamp model, over
+// four sets at every testWays associativity. The stream mixes demand
+// accesses with and without their fill, fills with no access before them
+// (the SVB-hit path fills the L2 that way) and addresses inside a block.
+// Between a miss and its fill it interleaves Contains and Invalidate.
+// Every hit result, victim way, eviction (in order), Contains and
+// Invalidate answer, and the way every block sits in must agree.
+func TestPackedSetsMatchStampModel(t *testing.T) {
+	const sets = 4
+	for _, ways := range testWays {
+		cfg := Config{SizeBytes: sets * ways * mem.BlockSize, Ways: ways}
+		c, ref := New(cfg), newStampCache(cfg)
+		var got, want []mem.Addr
+		c.OnEvict = func(b mem.Addr) { got = append(got, b) }
+		ref.onEvict = func(b mem.Addr) { want = append(want, b) }
+		blocks := sets * (2*ways + 1)
+		rng := rand.New(rand.NewSource(int64(ways)))
+		addr := func() mem.Addr {
+			return mem.Addr(rng.Intn(blocks)*mem.BlockSize + rng.Intn(mem.BlockSize))
+		}
+		for step := 0; step < 40000; step++ {
+			a := addr()
+			switch op := rng.Intn(16); {
+			case op == 0:
+				if c.Invalidate(a) != ref.invalidate(a) {
+					t.Fatalf("ways=%d step %d: Invalidate(%#x) disagrees", ways, step, a)
+				}
+			case op < 3:
+				c.Fill(a)
+				ref.fill(a)
+			default:
+				hit := c.Access(a)
+				if hit != ref.access(a) {
+					t.Fatalf("ways=%d step %d: Access(%#x) hit=%v, reference disagrees", ways, step, a, hit)
+				}
+				if hit {
+					break
+				}
+				if c.pendWay != ref.pendWay {
+					t.Fatalf("ways=%d step %d: Access(%#x) chose victim way %d, reference %d", ways, step, a, c.pendWay, ref.pendWay)
+				}
+				for n := rng.Intn(3); n > 0; n-- {
+					x := addr()
+					if rng.Intn(2) == 0 {
+						if c.Contains(x) != ref.contains(x) {
+							t.Fatalf("ways=%d step %d: Contains(%#x) disagrees between miss and fill", ways, step, x)
+						}
+					} else if c.Invalidate(x) != ref.invalidate(x) {
+						t.Fatalf("ways=%d step %d: Invalidate(%#x) disagrees between miss and fill", ways, step, x)
+					}
+				}
+				if rng.Intn(8) != 0 {
+					c.Fill(a)
+					ref.fill(a)
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("ways=%d step %d: evicted %#x, reference %#x", ways, step, got, want)
+			}
+			got, want = got[:0], want[:0]
+			if x := addr(); c.Contains(x) != ref.contains(x) {
+				t.Fatalf("ways=%d step %d: Contains(%#x) disagrees", ways, step, x)
+			}
+			// Every block sits in the way the reference put it in.
+			for set := 0; set < sets; set++ {
+				for w := 0; w < ways; w++ {
+					tag, refTag := c.sets[set*c.stride+c.words+w], empty
+					if ref.valid[set]>>uint(w)&1 != 0 {
+						refTag = uint64(ref.tags[set*ways+w])
+					}
+					if tag != refTag {
+						t.Fatalf("ways=%d step %d: set %d way %d holds %#x, reference %#x", ways, step, set, w, tag, refTag)
+					}
+				}
+			}
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"stems/internal/allocgate"
 	"stems/internal/mem"
 )
 
@@ -43,17 +44,12 @@ func TestWindowZeroAlloc(t *testing.T) {
 	rc, rmob := warmReconstructor()
 	onRegion := func(region mem.Addr, k Key) {}
 	oldest := rmob.Appends() - uint64(rmob.Len())
-	// Warm once so every lazily-reached high-water mark is established.
-	pos := oldest
-	rc.Window(&pos, onRegion)
-
 	i := uint64(0)
-	avg := testing.AllocsPerRun(100, func() {
+	if n := allocgate.Mallocs(100, func() {
 		pos := oldest + i%64
 		rc.Window(&pos, onRegion)
 		i++
-	})
-	if avg != 0 {
-		t.Fatalf("Reconstructor.Window allocated %.3f objects per window, want 0", avg)
+	}); n != 0 {
+		t.Fatalf("Reconstructor.Window allocated %d objects in 100 windows, want 0", n)
 	}
 }

@@ -6,9 +6,10 @@
 // tables, the ring indexes, SVB residency, reconstruction dedup); Go maps
 // hash through an interface, allocate buckets on growth, and defeat
 // prefetching with pointer-chased overflow cells. U64Table instead keys one
-// flat slot array with linear probing and backward-shift deletion — the
-// index-linked contiguous layout that parHSOM-style flattening uses to make
-// pointer structures hardware-friendly.
+// flat slot array, homes each key by one multiply and one shift, and
+// resolves collisions with linear probing and backward-shift deletion —
+// the index-linked contiguous layout that parHSOM-style flattening uses to
+// make pointer structures hardware-friendly.
 //
 // Tables are sized by what a run holds. A predictor's configured capacity
 // (a §4.3 hardware size such as the 384K-entry CMOB) is a bound, not an
@@ -20,33 +21,29 @@
 // at full size would.
 package flat
 
-// Hash64 is a fast full-avalanche mix (the splitmix64 finalizer) for
-// tables keyed by addresses, positions, or other machine words. It is
-// several times cheaper than the generic maphash path — no seed lookup, no
-// type descriptor, no function-call chain — which matters because the
-// replay loop hashes multiple times per simulated access.
-func Hash64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
+import "math/bits"
+
+// fib is 2^64 divided by the golden ratio, rounded to odd: the multiplier
+// of Fibonacci hashing.
+const fib = 0x9E3779B97F4A7C15
 
 // U64Table is an open-addressed hash table keyed by uint64 (block
-// addresses, ring positions, packed lookup indexes) with the Hash64 mix
-// compiled directly into the probe loops — no hash-function indirection.
-// Key and value are interleaved in one slot array so a probe touches a
-// single cache line, and occupancy is a bitset small enough to live in L1;
-// the replay loop's hottest tables (the reconstruction dedup set, the SVB
-// index, the ring indexes, the LRU-map indexes) perform tens of probes per
-// simulated access. Occupancy is tracked outside the slots, so every key
-// value (including 0) is valid. Not safe for concurrent use.
+// addresses, ring positions, packed lookup indexes). A key's home slot is
+// its Fibonacci hash, the top bits of k*fib: one multiply and one shift,
+// compiled into the probe loops. The product's top bits depend on every
+// key bit at or below them, so keys that differ only above their low
+// zero bits — block addresses, 2 KB region bases — still spread over the
+// table. Key and value are interleaved in one slot array so a probe
+// touches a single cache line, and occupancy is a bitset small enough to
+// live in L1; the replay loop's hottest tables (the reconstruction dedup
+// set, the SVB index, the ring indexes, the LRU-map indexes) perform tens
+// of probes per simulated access. Occupancy is tracked outside the slots,
+// so every key value (including 0) is valid. Not safe for concurrent use.
 type U64Table[V any] struct {
 	slots []u64slot[V]
 	used  []uint64 // occupancy bitset, one bit per slot
 	mask  uint64
+	shift uint // 64 - log2(len(slots))
 	n     int
 }
 
@@ -66,8 +63,12 @@ func NewU64Table[V any](capacity int) *U64Table[V] {
 		slots: make([]u64slot[V], size),
 		used:  make([]uint64, size/64),
 		mask:  size - 1,
+		shift: uint(64 - bits.TrailingZeros64(size)),
 	}
 }
+
+// home returns k's home slot.
+func (t *U64Table[V]) home(k uint64) uint64 { return k * fib >> t.shift }
 
 // Len returns the number of live keys.
 func (t *U64Table[V]) Len() int { return t.n }
@@ -96,7 +97,7 @@ func (t *U64Table[V]) clearUsed(i uint64) { t.used[i>>6] &^= 1 << (i & 63) }
 
 // Get returns the value stored for k.
 func (t *U64Table[V]) Get(k uint64) (V, bool) {
-	for i := Hash64(k) & t.mask; t.isUsed(i); i = (i + 1) & t.mask {
+	for i := t.home(k); t.isUsed(i); i = (i + 1) & t.mask {
 		if t.slots[i].key == k {
 			return t.slots[i].val, true
 		}
@@ -107,42 +108,19 @@ func (t *U64Table[V]) Get(k uint64) (V, bool) {
 
 // Has reports whether k is present.
 func (t *U64Table[V]) Has(k uint64) bool {
-	for i := Hash64(k) & t.mask; t.isUsed(i); i = (i + 1) & t.mask {
-		if t.slots[i].key == k {
-			return true
-		}
-	}
-	return false
+	_, ok := t.Get(k)
+	return ok
 }
 
 // Put inserts or updates k. Inserting a new key into a full table doubles
 // the probe array (an allocation).
-func (t *U64Table[V]) Put(k uint64, v V) {
-	i := Hash64(k) & t.mask
-	for t.isUsed(i) {
-		if t.slots[i].key == k {
-			t.slots[i].val = v
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-	if t.Full() {
-		t.grow()
-		i = Hash64(k) & t.mask
-		for t.isUsed(i) {
-			i = (i + 1) & t.mask
-		}
-	}
-	t.slots[i] = u64slot[V]{key: k, val: v}
-	t.setUsed(i)
-	t.n++
-}
+func (t *U64Table[V]) Put(k uint64, v V) { *t.Ref(k) = v }
 
 // Ref returns a pointer to k's value, inserting a zero value first if k is
 // absent — one probe for the upsert-and-update pattern. The pointer is
 // valid until the next insert (growth or backward-shift may move values).
 func (t *U64Table[V]) Ref(k uint64) *V {
-	i := Hash64(k) & t.mask
+	i := t.home(k)
 	for t.isUsed(i) {
 		if t.slots[i].key == k {
 			return &t.slots[i].val
@@ -151,7 +129,7 @@ func (t *U64Table[V]) Ref(k uint64) *V {
 	}
 	if t.Full() {
 		t.grow()
-		i = Hash64(k) & t.mask
+		i = t.home(k)
 		for t.isUsed(i) {
 			i = (i + 1) & t.mask
 		}
@@ -166,7 +144,7 @@ func (t *U64Table[V]) Ref(k uint64) *V {
 // Delete removes k, reporting whether it was present. Removal backward-
 // shifts the displaced run, so the table never accumulates tombstones.
 func (t *U64Table[V]) Delete(k uint64) bool {
-	for i := Hash64(k) & t.mask; t.isUsed(i); i = (i + 1) & t.mask {
+	for i := t.home(k); t.isUsed(i); i = (i + 1) & t.mask {
 		if t.slots[i].key == k {
 			t.deleteAt(i)
 			return true
@@ -186,7 +164,7 @@ func (t *U64Table[V]) deleteAt(i uint64) {
 		if !t.isUsed(j) {
 			break
 		}
-		h := Hash64(t.slots[j].key) & t.mask
+		h := t.home(t.slots[j].key)
 		// The entry at j may fill the hole at i iff its home precedes or
 		// equals i in cyclic probe order: (j-h) mod size >= (j-i) mod size.
 		if (j-h)&t.mask >= (j-i)&t.mask {
@@ -219,14 +197,10 @@ func (t *U64Table[V]) Reset() {
 
 // grow doubles the probe array and rehashes every live entry.
 func (t *U64Table[V]) grow() {
-	oldSlots, oldUsed := t.slots, t.used
-	size := (t.mask + 1) << 1
-	t.slots = make([]u64slot[V], size)
-	t.used = make([]uint64, size/64)
-	t.mask = size - 1
-	t.n = 0
-	for i, s := range oldSlots {
-		if oldUsed[i>>6]&(1<<(uint(i)&63)) != 0 {
+	old := *t
+	*t = *NewU64Table[V](len(old.slots))
+	for i, s := range old.slots {
+		if old.isUsed(uint64(i)) {
 			t.Put(s.key, s.val)
 		}
 	}

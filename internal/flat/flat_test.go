@@ -126,3 +126,87 @@ func TestStructKeys(t *testing.T) {
 		t.Fatalf("struct key with the same offset, other PC = %q,%v", v, ok)
 	}
 }
+
+// keyFamilies returns n distinct keys of each shape the replay hashes:
+// 64-byte block addresses (a dense run and a scatter), 2 KB region bases,
+// packed PC<<5|offset lookup keys, and random words.
+func keyFamilies(n int) []struct {
+	name string
+	keys []uint64
+} {
+	rng := rand.New(rand.NewSource(int64(n)))
+	gen := func(f func(i int) uint64) []uint64 {
+		keys := make([]uint64, 0, n)
+		seen := map[uint64]bool{}
+		for i := 0; len(keys) < n; i++ {
+			if k := f(i); !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		return keys
+	}
+	return []struct {
+		name string
+		keys []uint64
+	}{
+		{"block run", gen(func(i int) uint64 { return 0x7f3a00000000 + uint64(i)*64 })},
+		{"block scatter", gen(func(int) uint64 { return rng.Uint64() >> 16 &^ 63 })},
+		{"region bases", gen(func(i int) uint64 { return 0x10000000 + uint64(i)*2048 })},
+		{"pc<<5|offset", gen(func(i int) uint64 { return (0x400000+4*uint64(i/32))<<5 | uint64(i%32) })},
+		{"random", gen(func(int) uint64 { return rng.Uint64() })},
+	}
+}
+
+// Probe quality on the replay's key shapes: Put, Get, Delete and growth
+// agree with a map for every family, and at load 1/2 a key sits on
+// average at most one slot past its home. A hash that keeps a key's low
+// zero bits (the identity, say) piles block addresses onto every 64th
+// slot and fails the bound.
+func TestProbeQualityOnReplayKeys(t *testing.T) {
+	const n = 4096
+	for _, fam := range keyFamilies(n) {
+		tb := NewU64Table[int](8) // grows as the keys arrive
+		ref := map[uint64]int{}
+		rng := rand.New(rand.NewSource(1))
+		for i, k := range fam.keys {
+			tb.Put(k, i)
+			ref[k] = i
+			if x := fam.keys[rng.Intn(i+1)]; rng.Intn(4) == 0 {
+				_, ok := ref[x]
+				delete(ref, x)
+				if tb.Delete(x) != ok {
+					t.Fatalf("%s: Delete(%#x) disagrees with the map", fam.name, x)
+				}
+			}
+			if tb.Len() != len(ref) {
+				t.Fatalf("%s: Len %d, map %d", fam.name, tb.Len(), len(ref))
+			}
+		}
+		for _, k := range fam.keys {
+			v, ok := tb.Get(k)
+			if rv, rok := ref[k]; ok != rok || v != rv || tb.Has(k) != rok {
+				t.Fatalf("%s: Get(%#x) = %d,%v, map %d,%v", fam.name, k, v, ok, rv, rok)
+			}
+		}
+
+		full := NewU64Table[int](n)
+		for i, k := range fam.keys {
+			full.Put(k, i)
+		}
+		if !full.Full() || 2*full.Len() != len(full.slots) {
+			t.Fatalf("%s: %d keys in %d slots, want load 1/2", fam.name, full.Len(), len(full.slots))
+		}
+		total := uint64(0)
+		for i := range full.slots {
+			if full.isUsed(uint64(i)) {
+				total += (uint64(i) - full.home(full.slots[i].key)) & full.mask
+			}
+		}
+		if mean := float64(total) / n; mean > 1 {
+			t.Errorf("%s: mean probe displacement %.2f slots at load 1/2, want at most 1", fam.name, mean)
+		} else {
+			t.Logf("%s: mean probe displacement %.2f slots at load 1/2", fam.name, mean)
+		}
+	}
+}

@@ -8,6 +8,8 @@ package obs
 import (
 	"testing"
 	"time"
+
+	"stems/internal/allocgate"
 )
 
 func TestRecordPathZeroAlloc(t *testing.T) {
@@ -19,15 +21,14 @@ func TestRecordPathZeroAlloc(t *testing.T) {
 	h := r.Histogram("alloc_h_seconds", "h", L("route", "x"))
 	rate := NewRate()
 	d := time.Duration(0)
-	avg := testing.AllocsPerRun(100, func() {
+	if n := allocgate.Mallocs(100, func() {
 		for i := 0; i < 1000; i++ {
 			c.Add(1)
 			h.Observe(d)
 			rate.Add(1)
 			d += 977 // sweep across buckets
 		}
-	})
-	if avg != 0 {
-		t.Fatalf("obs record path allocated %.3f objects per 1000 ops, want 0", avg)
+	}); n != 0 {
+		t.Fatalf("obs record path allocated %d objects in 100 runs of 1000 ops, want 0", n)
 	}
 }

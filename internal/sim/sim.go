@@ -14,6 +14,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"stems/internal/cache"
 	"stems/internal/config"
@@ -227,7 +228,7 @@ func (m *Machine) Step(a trace.Access) {
 	// Think models the committed work *preceding* the access, so it
 	// elapses before the reference (and before the prefetchers observe it).
 	m.cycle += m.cfg.CoreCyclesPerAccess + uint64(a.Think)
-	l1Hit := m.l1.Access(a.Addr, a.Write)
+	l1Hit := m.l1.Access(a.Addr)
 	m.pf.OnAccess(a, l1Hit)
 	if l1Hit {
 		m.res.L1Hits++
@@ -248,8 +249,8 @@ func (m *Machine) stepMiss(a trace.Access) {
 	if !a.Write && m.engine != nil {
 		if hit, readyAt := m.engine.Lookup(a.Addr); hit {
 			m.res.Covered++
-			m.l2.Fill(a.Addr, false)
-			m.l1.Fill(a.Addr, false)
+			m.l2.Fill(a.Addr)
+			m.l1.Fill(a.Addr)
 			m.cycle += m.cfg.SVBHitCycles
 			if readyAt > m.cycle {
 				m.cycle = readyAt // in flight: wait for arrival
@@ -259,9 +260,9 @@ func (m *Machine) stepMiss(a trace.Access) {
 		}
 	}
 
-	if m.l2.Access(a.Addr, a.Write) {
+	if m.l2.Access(a.Addr) {
 		m.res.L2Hits++
-		m.l1.Fill(a.Addr, a.Write)
+		m.l1.Fill(a.Addr)
 		if !a.Write {
 			m.cycle += m.cfg.L2HitCycles
 		}
@@ -269,8 +270,8 @@ func (m *Machine) stepMiss(a trace.Access) {
 	}
 
 	// Off-chip.
-	m.l2.Fill(a.Addr, a.Write)
-	m.l1.Fill(a.Addr, a.Write)
+	m.l2.Fill(a.Addr)
+	m.l1.Fill(a.Addr)
 	if a.Write {
 		// Store-wait-free (§5.1): stores never stall the core, and their
 		// bandwidth drains in the background.
@@ -319,9 +320,9 @@ func (m *Machine) RunBlocks(bs trace.BlockSource) Result {
 // calling Step on each access in order (the equivalence suite asserts
 // identical Results for every predictor), but iterates the block's columns
 // in a tight loop: the per-access virtual Source call and 24-byte struct
-// copy disappear, bounds checks are hoisted onto the column slices, and a
-// block with no stores runs a leaner loop with the write branches hoisted
-// out entirely.
+// copy disappear, bounds checks are hoisted onto the column slices, and
+// reads and writes are counted once per block from the write bitset, whose
+// bits past N a Block keeps clear.
 func (m *Machine) StepBlock(b *trace.Block) {
 	n := b.N
 	if n == 0 {
@@ -331,34 +332,16 @@ func (m *Machine) StepBlock(b *trace.Block) {
 	pcIdx := b.PCIdx[:n]
 	think := b.Think[:n]
 	dict := b.PCDict
+	writeBits := b.WriteBits
 	depBits := b.DepBits
 	core := m.cfg.CoreCyclesPerAccess
-	m.res.Accesses += uint64(n)
-
-	if !b.HasWrites() {
-		// Read-only block: the write/read branch, the store-invalidate
-		// probe, and the Writes counter all vanish from the loop.
-		m.res.Reads += uint64(n)
-		for i := 0; i < n; i++ {
-			a := trace.Access{
-				Addr:  mem.Addr(addrs[i]),
-				PC:    dict[pcIdx[i]],
-				Dep:   depBits[i>>6]&(1<<(uint(i)&63)) != 0,
-				Think: think[i],
-			}
-			m.cycle += core + uint64(a.Think)
-			if m.l1.Access(a.Addr, false) {
-				m.pf.OnAccess(a, true)
-				m.res.L1Hits++
-				continue
-			}
-			m.pf.OnAccess(a, false)
-			m.stepMiss(a)
-		}
-		return
+	writes := 0
+	for _, w := range writeBits {
+		writes += bits.OnesCount64(w)
 	}
-
-	writeBits := b.WriteBits
+	m.res.Accesses += uint64(n)
+	m.res.Writes += uint64(writes)
+	m.res.Reads += uint64(n - writes)
 	for i := 0; i < n; i++ {
 		a := trace.Access{
 			Addr:  mem.Addr(addrs[i]),
@@ -367,13 +350,8 @@ func (m *Machine) StepBlock(b *trace.Block) {
 			Dep:   depBits[i>>6]&(1<<(uint(i)&63)) != 0,
 			Think: think[i],
 		}
-		if a.Write {
-			m.res.Writes++
-		} else {
-			m.res.Reads++
-		}
 		m.cycle += core + uint64(a.Think)
-		if m.l1.Access(a.Addr, a.Write) {
+		if m.l1.Access(a.Addr) {
 			m.pf.OnAccess(a, true)
 			m.res.L1Hits++
 			continue
@@ -423,8 +401,9 @@ func CollectMissStream(cfg config.System, src trace.Source, onMiss func(trace.Ac
 }
 
 // CollectMissStreamBlocks is the batched form of CollectMissStream. The
-// hit path touches only the address column and the write bitset; the full
-// access record is decoded only for the off-chip misses handed to onMiss.
+// hit path touches only the address column; the write bit is read only for
+// off-chip misses, and the full access record is decoded only for the
+// off-chip reads handed to onMiss.
 func CollectMissStreamBlocks(cfg config.System, bs trace.BlockSource, onMiss func(trace.Access), onEvict func(mem.Addr)) {
 	l1 := cache.New(cache.Config{SizeBytes: cfg.L1SizeBytes, Ways: cfg.L1Ways})
 	l2 := cache.New(cache.Config{SizeBytes: cfg.L2SizeBytes, Ways: cfg.L2Ways})
@@ -438,17 +417,16 @@ func CollectMissStreamBlocks(cfg config.System, bs trace.BlockSource, onMiss fun
 		writeBits := b.WriteBits
 		for i := 0; i < n; i++ {
 			addr := mem.Addr(addrs[i])
-			w := writeBits[i>>6]&(1<<(uint(i)&63)) != 0
-			if l1.Access(addr, w) {
+			if l1.Access(addr) {
 				continue
 			}
-			if l2.Access(addr, w) {
-				l1.Fill(addr, w)
+			if l2.Access(addr) {
+				l1.Fill(addr)
 				continue
 			}
-			l2.Fill(addr, w)
-			l1.Fill(addr, w)
-			if !w && onMiss != nil {
+			l2.Fill(addr)
+			l1.Fill(addr)
+			if onMiss != nil && writeBits[i>>6]&(1<<(uint(i)&63)) == 0 {
 				onMiss(b.At(i))
 			}
 		}
