@@ -22,7 +22,8 @@ type RMOBEntry struct {
 // its most recent position. Spatially predictable misses are filtered out,
 // which is why the paper's RMOB (128K entries) is one third the size of
 // TMS's CMOB (§4.3). It is the miss-order ring every temporal predictor
-// shares (flat.Ring), keyed by block address.
+// shares (flat.Ring), keyed by block address; its index holds a uint32
+// slot per live block, at most 1 MB at the paper's 128K entries.
 type RMOB = flat.Ring[mem.Addr, RMOBEntry]
 
 // NewRMOB creates a buffer holding at most entries entries.

@@ -45,9 +45,6 @@ func TestRMOBWrapInvalidation(t *testing.T) {
 	if _, ok := r.Lookup(rblock(1)); ok {
 		t.Fatal("lapped entry still resolvable")
 	}
-	if r.StaleLookups() != 1 {
-		t.Fatalf("StaleLookups = %d", r.StaleLookups())
-	}
 	// At() on lapped positions fails.
 	if _, ok := r.At(0); ok {
 		t.Fatal("At(0) succeeded after lap")

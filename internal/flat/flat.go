@@ -9,7 +9,8 @@
 // flat slot array, homes each key by one multiply and one shift, and
 // resolves collisions with linear probing and backward-shift deletion —
 // the index-linked contiguous layout that parHSOM-style flattening uses to
-// make pointer structures hardware-friendly.
+// make pointer structures hardware-friendly. A Ring's index goes one step
+// further: its entries are uint32 slots of the ring, which holds the keys.
 //
 // Tables are sized by what a run holds. A predictor's configured capacity
 // (a §4.3 hardware size such as the 384K-entry CMOB) is a bound, not an
@@ -28,7 +29,7 @@ import "math/bits"
 const fib = 0x9E3779B97F4A7C15
 
 // U64Table is an open-addressed hash table keyed by uint64 (block
-// addresses, ring positions, packed lookup indexes). A key's home slot is
+// addresses, region bases, PCs, packed lookup indexes). A key's home slot is
 // its Fibonacci hash, the top bits of k*fib: one multiply and one shift,
 // compiled into the probe loops. The product's top bits depend on every
 // key bit at or below them, so keys that differ only above their low
@@ -36,9 +37,9 @@ const fib = 0x9E3779B97F4A7C15
 // table. Key and value are interleaved in one slot array so a probe
 // touches a single cache line, and occupancy is a bitset small enough to
 // live in L1; the replay loop's hottest tables (the reconstruction dedup
-// set, the SVB index, the ring indexes, the LRU-map indexes) perform tens
-// of probes per simulated access. Occupancy is tracked outside the slots,
-// so every key value (including 0) is valid. Not safe for concurrent use.
+// set, the SVB index, the LRU-map indexes) perform tens of probes per
+// simulated access. Occupancy is tracked outside the slots, so every key
+// value (including 0) is valid. Not safe for concurrent use.
 type U64Table[V any] struct {
 	slots []u64slot[V]
 	used  []uint64 // occupancy bitset, one bit per slot
@@ -178,18 +179,11 @@ func (t *U64Table[V]) deleteAt(i uint64) {
 	t.n--
 }
 
-// Clear removes every key without releasing storage.
-func (t *U64Table[V]) Clear() {
-	clear(t.slots)
-	clear(t.used)
-	t.n = 0
-}
-
-// Reset removes every key by clearing occupancy only: stale keys and
-// values stay in the slot array but are unreachable (every probe gate
-// checks the occupancy bitset first). For pointer-free V this is the
-// cheap per-window Clear — the bitset is 1/512th of the slot storage —
-// for V holding pointers use Clear so the GC can reclaim referents.
+// Reset removes every key without releasing storage, by clearing
+// occupancy only: stale keys and values stay in the slot array but are
+// unreachable (every probe gate checks the occupancy bitset first), and
+// the bitset is 1/512th of the slot storage. Values holding pointers keep
+// their referents alive until overwritten.
 func (t *U64Table[V]) Reset() {
 	clear(t.used)
 	t.n = 0

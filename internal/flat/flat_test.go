@@ -47,18 +47,18 @@ func TestClear(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		tb.Put(uint64(i), i)
 	}
-	tb.Clear()
+	tb.Reset()
 	if tb.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", tb.Len())
+		t.Fatalf("Len after Reset = %d", tb.Len())
 	}
 	for i := 0; i < 16; i++ {
 		if tb.Has(uint64(i)) {
-			t.Fatalf("key %d survived Clear", i)
+			t.Fatalf("key %d survived Reset", i)
 		}
 	}
 	tb.Put(3, 33)
 	if v, _ := tb.Get(3); v != 33 {
-		t.Fatal("table unusable after Clear")
+		t.Fatal("table unusable after Reset")
 	}
 }
 

@@ -1,57 +1,58 @@
 package flat
 
+import "math/bits"
+
 // Ring is a miss-order ring: the entries most recently appended, up to
 // its capacity, each addressed by its absolute append position, plus an
-// index from each entry's key to the latest position that key was
-// appended at. TMS's CMOB, STeMS's RMOB and the naive hybrid's trigger
-// sequence are Rings; the index is what lets a miss find where its address
-// last occurred.
+// index from each live key to the slot holding its latest append. TMS's
+// CMOB, STeMS's RMOB and the naive hybrid's trigger sequence are Rings;
+// the index is what lets a miss find where its address last occurred.
+//
+// The index holds no keys: its entries are ring slot + 1 (0 is empty) in a
+// power-of-two array probed linearly from the Fibonacci hash of the key
+// the slot's entry holds, which each probe reads from the ring. An append
+// that overwrites a slot first removes the mapping that points there, so
+// the index holds exactly the live keys, four bytes per entry.
 //
 // Storage grows with the run. The entry array starts at ringStart entries
 // (or the capacity, if smaller) and doubles up to the capacity as appends
-// reach its end; until the ring first wraps, position p lives at index p,
-// so growth is a copy. The index starts small and doubles as keys arrive,
-// up to room for 1.25×capacity keys at ½ load. Beyond that, a full index
-// is rebuilt from the live entries instead, shedding every key the ring
-// has lapped — an O(capacity) sweep amortized over at least a quarter-ring
-// of appends — so a ring at its bound never allocates.
-//
-// Lookups do not depend on when growth or rebuilds happen. The index maps
-// each key to its latest append, and that position still holds the key
-// unless the ring has lapped it, which Lookup detects by position alone.
+// reach its end; until the ring first wraps, position p lives at slot p,
+// so growth is a copy. The index doubles at ½ load from tableSize(ringStart)
+// entries; live keys never outnumber the capacity, so it stops at
+// tableSize(capacity) and a ring at its bound never allocates.
 type Ring[K ~uint64, E any] struct {
 	buf      []E
 	capacity uint64
 	mask     uint64 // capacity-1 when capacity is a power of two, else 0
 	appends  uint64
 	key      func(E) K
-	index    *U64Table[uint64]
-	indexCap int // index Cap at which a full index is rebuilt, not grown
 
-	staleLookups uint64
-	reindexes    uint64
+	index  []uint32 // slot+1 of each live key's latest entry; 0 is empty
+	ishift uint     // 64 - log2(len(index))
+	keys   int      // non-empty index entries
 }
 
 // ringStart is a new ring's entry-array length, and its index's key room.
 const ringStart = 256
 
 // NewRing creates a ring holding at most capacity entries, indexed by key.
+// It panics if a slot + 1 does not fit the index's uint32 entries.
 func NewRing[K ~uint64, E any](capacity int, key func(E) K) *Ring[K, E] {
 	if capacity <= 0 {
 		panic("flat: non-positive ring capacity")
+	}
+	if uint64(capacity) > 1<<32-1 {
+		panic("flat: ring capacity exceeds the uint32 slot index")
 	}
 	r := &Ring[K, E]{
 		buf:      make([]E, min(capacity, ringStart)),
 		capacity: uint64(capacity),
 		key:      key,
-		index:    NewU64Table[uint64](min(capacity, ringStart)),
-		// Live keys never exceed the ring size, so every rebuild frees at
-		// least a quarter-ring of insert room.
-		indexCap: int(tableSize(capacity+capacity/4) / 2),
 	}
 	if capacity&(capacity-1) == 0 {
 		r.mask = uint64(capacity - 1)
 	}
+	r.resizeIndex(tableSize(min(capacity, ringStart)))
 	return r
 }
 
@@ -85,49 +86,101 @@ func (r *Ring[K, E]) Append(e E) {
 	if p == uint64(len(r.buf)) && p < r.capacity {
 		r.grow()
 	}
-	r.buf[r.Slot(p)] = e
-	if r.index.Full() && r.index.Cap() >= r.indexCap {
-		r.reindex()
+	s := r.Slot(p)
+	if p >= r.capacity {
+		r.unmap(s)
 	}
-	r.index.Put(uint64(r.key(e)), p)
+	r.buf[s] = e
+	k := r.key(e)
+	i, ok := r.find(k)
+	if !ok {
+		if 2*r.keys >= len(r.index) {
+			r.resizeIndex(2 * uint64(len(r.index)))
+			i, _ = r.find(k)
+		}
+		r.keys++
+	}
+	r.index[i] = uint32(s + 1)
 	r.appends++
 }
 
 // grow doubles the entry array, up to the ring's capacity. It runs only
-// before the first wrap, when positions and indexes coincide.
+// before the first wrap, when positions and slots coincide.
 func (r *Ring[K, E]) grow() {
 	buf := make([]E, min(2*uint64(len(r.buf)), r.capacity))
 	copy(buf, r.buf)
 	r.buf = buf
 }
 
-// reindex rebuilds the index from the live entries, shedding every key the
-// ring has lapped. Live entries number at most the capacity, below the
-// index's room, so the rebuilt index is never full.
-func (r *Ring[K, E]) reindex() {
-	r.index.Clear()
-	lo, hi := r.Live()
-	for p := lo; p < hi; p++ {
-		// Later positions overwrite earlier ones, leaving each key mapped
-		// to its latest live occurrence.
-		r.index.Put(uint64(r.key(r.buf[r.Slot(p)])), p)
+// home returns k's home index entry.
+func (r *Ring[K, E]) home(k K) uint64 { return uint64(k) * fib >> r.ishift }
+
+// find returns the index entry mapping k, or else the empty entry that
+// ends k's probe.
+func (r *Ring[K, E]) find(k K) (uint64, bool) {
+	index, buf, key := r.index, r.buf, r.key
+	m := uint64(len(index) - 1)
+	i := r.home(k)
+	for v := index[i]; v != 0; v = index[i] {
+		if key(buf[v-1]) == k {
+			return i, true
+		}
+		i = (i + 1) & m
 	}
-	r.reindexes++
+	return i, false
 }
 
-// Lookup returns the latest live position of key. A mapping the ring has
-// lapped is discarded and counted.
+// unmap removes the mapping to slot s, if any, before an append laps it.
+// That mapping lies in the probe run of the key s holds (so this runs
+// before the write), and no other entry holds s, so slots are compared.
+func (r *Ring[K, E]) unmap(s uint64) {
+	m := uint64(len(r.index) - 1)
+	for i := r.home(r.key(r.buf[s])); r.index[i] != 0; i = (i + 1) & m {
+		if r.index[i] == uint32(s+1) {
+			r.deleteAt(i)
+			return
+		}
+	}
+}
+
+// deleteAt empties index entry i and backward-shifts the probe run after
+// it, as U64Table.deleteAt does, homing each entry by its slot's key.
+func (r *Ring[K, E]) deleteAt(i uint64) {
+	index, buf, key := r.index, r.buf, r.key
+	m := uint64(len(index) - 1)
+	for j := (i + 1) & m; index[j] != 0; j = (j + 1) & m {
+		h := r.home(key(buf[index[j]-1]))
+		if (j-h)&m >= (j-i)&m {
+			index[i] = index[j]
+			i = j
+		}
+	}
+	index[i] = 0
+	r.keys--
+}
+
+// resizeIndex moves the index to size entries, rehoming every mapping.
+func (r *Ring[K, E]) resizeIndex(size uint64) {
+	old := r.index
+	r.index = make([]uint32, size)
+	r.ishift = uint(64 - bits.TrailingZeros64(size))
+	for _, v := range old {
+		if v != 0 {
+			i, _ := r.find(r.key(r.buf[v-1]))
+			r.index[i] = v
+		}
+	}
+}
+
+// Lookup returns the latest live position of key.
 func (r *Ring[K, E]) Lookup(key K) (uint64, bool) {
-	pos, ok := r.index.Get(uint64(key))
+	i, ok := r.find(key)
 	if !ok {
 		return 0, false
 	}
-	if r.appends-pos > r.capacity {
-		r.staleLookups++
-		r.index.Delete(uint64(key))
-		return 0, false
-	}
-	return pos, true
+	// Live positions fill the slots in order from the oldest one's.
+	lo, _ := r.Live()
+	return lo + r.Slot(uint64(r.index[i]-1)+r.capacity-r.Slot(lo)), true
 }
 
 // At returns the entry at an absolute position; ok is false if the
@@ -144,9 +197,3 @@ func (r *Ring[K, E]) Appends() uint64 { return r.appends }
 
 // Len returns the number of live entries.
 func (r *Ring[K, E]) Len() int { return int(min(r.appends, r.capacity)) }
-
-// StaleLookups returns the number of lapped index mappings Lookup found.
-func (r *Ring[K, E]) StaleLookups() uint64 { return r.staleLookups }
-
-// Reindexes returns the number of index rebuilds.
-func (r *Ring[K, E]) Reindexes() uint64 { return r.reindexes }

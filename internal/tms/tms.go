@@ -22,7 +22,6 @@ type Stats struct {
 	Appends      uint64 // entries recorded in the CMOB
 	StreamsBegun uint64 // successful index lookups that started a stream
 	LookupMisses uint64 // off-chip misses with no prior occurrence
-	StaleLookups uint64 // index entries invalidated by CMOB wrap-around
 }
 
 // TMS is the prefetcher.
@@ -31,7 +30,9 @@ type TMS struct {
 	engine *stream.Engine
 
 	// cmob is the ring of miss block addresses, indexed by block: the
-	// miss-order ring STeMS's RMOB also uses (flat.Ring).
+	// miss-order ring STeMS's RMOB also uses (flat.Ring). The index holds
+	// a uint32 ring slot per live block, 4 MB beside the ring's 3 MB at
+	// the paper's 384K entries.
 	cmob *flat.Ring[mem.Addr, mem.Addr]
 
 	// Per-stream read positions live in Queue.Cursor; all streams share
@@ -64,7 +65,6 @@ func (t *TMS) Name() string { return "tms" }
 func (t *TMS) Stats() Stats {
 	s := t.stats
 	s.Appends = t.cmob.Appends()
-	s.StaleLookups = t.cmob.StaleLookups()
 	return s
 }
 
