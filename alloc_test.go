@@ -84,27 +84,6 @@ func ownedBlocks(bt *trace.BlockTrace) []*trace.Block {
 	return out
 }
 
-// TestMachineStepZeroAlloc asserts that the steady-state replay loop — the
-// full STeMS predictor behind Machine.Step — performs no heap allocation
-// at all over 50,000 steps.
-func TestMachineStepZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are unreliable under the race detector")
-	}
-	m, bt := warmMachine(t, sim.KindSTeMS)
-	accs := bt.Accesses()
-	pos := 0
-	const stepsPerRun = 1000
-	if n := allocgate.Mallocs(50, func() {
-		for i := 0; i < stepsPerRun; i++ {
-			m.Step(accs[pos%len(accs)])
-			pos++
-		}
-	}); n != 0 {
-		t.Fatalf("Machine.Step allocated %d objects in 50 runs of %d steady-state steps, want 0", n, stepsPerRun)
-	}
-}
-
 // TestStepBlockZeroAlloc asserts the batched block kernel stays
 // allocation-free in steady state for every registered kind: replaying
 // arena-cached columnar blocks through a warm machine must not touch the

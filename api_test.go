@@ -6,7 +6,7 @@ package stems_test
 import (
 	"bytes"
 	"context"
-	"io"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -240,21 +240,38 @@ func TestBlockSourceInputsMatchWorkload(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	writeFile := func(name string, newWriter func(io.Writer) *stems.TraceWriter) string {
+	writeFile := func(name string, data []byte) string {
 		t.Helper()
-		var buf bytes.Buffer
-		w := newWriter(&buf)
-		if err := w.WriteAll(accs); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return path
+	}
+	var v2 bytes.Buffer
+	w := stems.NewTraceWriter(&v2)
+	if err := w.WriteAll(accs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// NewTraceWriter writes v2 only; the v1 file is encoded here in the
+	// fixed-width format of internal/trace/io.go: a 16-byte header, then
+	// one 24-byte record per access.
+	v1 := append([]byte("STEMSTRC"), 1, 0, 0, 0, 0, 0, 0, 0)
+	for _, a := range accs {
+		var flags byte
+		if a.Write {
+			flags |= 1
+		}
+		if a.Dep {
+			flags |= 2
+		}
+		v1 = binary.LittleEndian.AppendUint64(v1, uint64(a.Addr))
+		v1 = binary.LittleEndian.AppendUint64(v1, a.PC)
+		v1 = binary.LittleEndian.AppendUint16(v1, a.Think)
+		v1 = append(v1, flags, 0, 0, 0, 0, 0)
 	}
 	readFile := func(path string, max int) func() stems.BlockSource {
 		t.Helper()
@@ -265,8 +282,8 @@ func TestBlockSourceInputsMatchWorkload(t *testing.T) {
 		return bt.Blocks
 	}
 	files := []struct{ name, path string }{
-		{"v1 file", writeFile("v1.trace", stems.NewTraceWriter)},
-		{"v2 file", writeFile("v2.trace", stems.NewTraceWriterV2)},
+		{"v1 file", writeFile("v1.trace", v1)},
+		{"v2 file", writeFile("v2.trace", v2.Bytes())},
 	}
 
 	inputs := []struct {

@@ -166,7 +166,7 @@ func runSTeMSWith(b *testing.B, wl string, n int, mod func(*config.STeMS)) (sim.
 	})
 	st := core.New(sc, eng)
 	m.SetPrefetcher(st)
-	res := m.Run(trace.NewSliceSource(spec.Generate(1, n)))
+	res := m.RunBlocks(spec.GenerateBlocks(1, n).Blocks())
 	return res, st
 }
 
@@ -259,57 +259,12 @@ func BenchmarkAblationStreamQueues(b *testing.B) {
 	}
 }
 
-// benchSimStep replays a DB2 trace through machines built by mk, starting
-// a fresh machine at every pass over the trace so no predictor or cache
-// state bleeds between b.N scalings — earlier versions stepped one
-// ever-warmer machine, which made runs at different b.N incomparable. The
-// accesses/sec metric is the cross-PR throughput number recorded in
-// README.md's Performance section.
-func benchSimStep(b *testing.B, mk func(b *testing.B) *sim.Machine) {
-	b.Helper()
-	spec, _ := workload.ByName("DB2")
-	accs := spec.Generate(1, 200_000)
-	b.ResetTimer()
-	for i := 0; i < b.N; {
-		m := mk(b)
-		for j := 0; j < len(accs) && i < b.N; j++ {
-			m.Step(accs[j])
-			i++
-		}
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "accesses/sec")
-	}
-}
-
-// BenchmarkSimStepSTeMS measures raw simulator throughput with the full
-// STeMS predictor attached.
-func BenchmarkSimStepSTeMS(b *testing.B) {
-	opt := sim.DefaultOptions()
-	opt.System = config.ScaledSystem()
-	benchSimStep(b, func(b *testing.B) *sim.Machine {
-		m, err := sim.Build(sim.KindSTeMS, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	})
-}
-
-// BenchmarkSimStepBaseline measures simulator throughput with no
-// prefetcher, isolating cache-model cost.
-func BenchmarkSimStepBaseline(b *testing.B) {
-	benchSimStep(b, func(b *testing.B) *sim.Machine {
-		return sim.NewMachine(config.ScaledSystem(), sim.Nop{})
-	})
-}
-
-// benchSimBlocks is the block-pipeline counterpart of benchSimStep: the
-// same DB2 trace, resident as a BlockTrace, replayed whole through its
-// cursor and Machine.StepBlock once per iteration. Each machine is built
-// with the timer stopped, so the accesses/sec metric times replay alone
-// at any -benchtime — the end-to-end replay number of README.md.
+// benchSimBlocks replays a 200k-access DB2 trace, resident as a
+// BlockTrace, whole through its cursor and Machine.StepBlock once per
+// iteration, starting a fresh machine each time so no predictor or cache
+// state bleeds between iterations. Each machine is built with the timer
+// stopped, so the accesses/sec metric times replay alone at any
+// -benchtime — the end-to-end replay number of README.md.
 func benchSimBlocks(b *testing.B, mk func(b *testing.B) *sim.Machine) {
 	b.Helper()
 	spec, _ := workload.ByName("DB2")
@@ -331,8 +286,7 @@ func benchSimBlocks(b *testing.B, mk func(b *testing.B) *sim.Machine) {
 }
 
 // BenchmarkSimBlocksSTeMS measures block-pipeline throughput with the full
-// STeMS predictor — the headline replay number, compared against
-// BenchmarkSimStepSTeMS (the per-access path).
+// STeMS predictor — the headline replay number.
 func BenchmarkSimBlocksSTeMS(b *testing.B) {
 	opt := sim.DefaultOptions()
 	opt.System = config.ScaledSystem()
@@ -502,7 +456,7 @@ func BenchmarkAblationAdaptiveLookahead(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return m.Run(trace.NewSliceSource(spec.Generate(1, 150_000)))
+		return m.RunBlocks(spec.GenerateBlocks(1, 150_000).Blocks())
 	}
 	var fixed, adaptive sim.Result
 	for i := 0; i < b.N; i++ {
@@ -530,7 +484,7 @@ func BenchmarkAblationVirtualizedMeta(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return m.Run(trace.NewSliceSource(spec.Generate(1, 100_000)))
+		return m.RunBlocks(spec.GenerateBlocks(1, 100_000).Blocks())
 	}
 	var dedicated, virtualized sim.Result
 	for i := 0; i < b.N; i++ {
@@ -556,7 +510,7 @@ func BenchmarkEpochExtension(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return m.Run(trace.NewSliceSource(spec.Generate(1, 100_000)))
+		return m.RunBlocks(spec.GenerateBlocks(1, 100_000).Blocks())
 	}
 	var ep, tm sim.Result
 	for i := 0; i < b.N; i++ {

@@ -5,15 +5,14 @@
 // every predictor).
 //
 //	tracegen -workload DB2 -o db2.trace
-//	tracegen -workload DB2 -o db2.trace -format v2
 //	tracegen -workload em3d -stats
 //	stemsim -trace db2.trace -prefetcher stems
 //
-// -format selects the on-disk encoding: v1 is the fixed-width 24
-// bytes/record legacy format, v2 (the default) the columnar frame format
-// with delta-coded addresses and PC dictionaries. -stats reports the
-// record count, distinct PCs, and the encoded bytes/access under both
-// formats, so the v2 compression is observable per workload.
+// Files are written in the columnar v2 frame format, with delta-coded
+// addresses and PC dictionaries. -stats reports the record count,
+// distinct PCs, and the bytes/access of v2 next to the fixed-width 24
+// bytes/record of the legacy v1 format (which stemsim still reads), so
+// the v2 compression is observable per workload.
 package main
 
 import (
@@ -27,33 +26,16 @@ import (
 	"stems/internal/mem"
 )
 
-// formatVersion maps the -format flag to a trace format version.
-func formatVersion(s string) (int, bool) {
-	switch s {
-	case "v1", "1":
-		return 1, true
-	case "v2", "2":
-		return 2, true
-	}
-	return 0, false
-}
-
 func main() {
 	var (
 		wl       = flag.String("workload", "DB2", "workload name: "+strings.Join(stems.WorkloadNames(), ", "))
 		out      = flag.String("o", "", "output trace file (empty = stats only)")
-		format   = flag.String("format", "v2", "trace format: v1 (fixed records) or v2 (columnar frames)")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		accesses = flag.Int("accesses", 0, "trace length (0 = workload default)")
 		stats    = flag.Bool("stats", false, "print trace statistics")
 	)
 	flag.Parse()
 
-	version, ok := formatVersion(*format)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown trace format %q (want v1 or v2)\n", *format)
-		os.Exit(2)
-	}
 	spec, err := stems.WorkloadByName(*wl)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -65,9 +47,9 @@ func main() {
 	}
 	accs := spec.Generate(*seed, n)
 
-	// When a file is written, its byte count doubles as the size sample
-	// for that format in -stats, sparing a redundant encode.
-	writtenVersion, writtenBytes := 0, int64(0)
+	// When a file is written, its byte count doubles as the v2 size in
+	// -stats, sparing a redundant encode.
+	var v2Bytes int64
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -75,11 +57,7 @@ func main() {
 			os.Exit(1)
 		}
 		cw := &countWriter{w: f}
-		w, err := stems.NewTraceWriterVersion(cw, version)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		w := stems.NewTraceWriter(cw)
 		if err := w.WriteAll(accs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -92,13 +70,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %d accesses to %s (%s, %d bytes, %.2f bytes/access)\n",
-			w.Count(), *out, *format, cw.n, float64(cw.n)/float64(len(accs)))
-		writtenVersion, writtenBytes = version, cw.n
+		fmt.Printf("wrote %d accesses to %s (v2, %d bytes, %.2f bytes/access)\n",
+			w.Count(), *out, cw.n, float64(cw.n)/float64(len(accs)))
+		v2Bytes = cw.n
 	}
 
 	if *stats || *out == "" {
-		printStats(spec, accs, writtenVersion, writtenBytes)
+		if *out == "" {
+			v2Bytes = encodedSize(accs)
+		}
+		printStats(spec, accs, v2Bytes)
 	}
 }
 
@@ -117,13 +98,10 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// encodedSize returns the byte size of accs under the given format.
-func encodedSize(accs []stems.Access, version int) int64 {
+// encodedSize returns the byte size of accs as a v2 trace file.
+func encodedSize(accs []stems.Access) int64 {
 	cw := &countWriter{}
-	w, err := stems.NewTraceWriterVersion(cw, version)
-	if err != nil {
-		panic(err)
-	}
+	w := stems.NewTraceWriter(cw)
 	if err := w.WriteAll(accs); err != nil {
 		panic(err)
 	}
@@ -133,7 +111,10 @@ func encodedSize(accs []stems.Access, version int) int64 {
 	return cw.n
 }
 
-func printStats(spec stems.Workload, accs []stems.Access, writtenVersion int, writtenBytes int64) {
+// printStats summarizes accs; v2 is their v2 file size. The v1 size is
+// computed, not encoded: a 16-byte header and one 24-byte record per
+// access.
+func printStats(spec stems.Workload, accs []stems.Access, v2 int64) {
 	var writes, deps uint64
 	regions := map[mem.Addr]bool{}
 	blocks := map[mem.Addr]bool{}
@@ -152,13 +133,7 @@ func printStats(spec stems.Workload, accs []stems.Access, writtenVersion int, wr
 		think += uint64(a.Think)
 	}
 	n := float64(len(accs))
-	sizeOf := func(version int) int64 {
-		if version == writtenVersion {
-			return writtenBytes
-		}
-		return encodedSize(accs, version)
-	}
-	v1, v2 := sizeOf(1), sizeOf(2)
+	v1 := int64(16 + 24*len(accs))
 	fmt.Printf("workload:         %s (%s)\n", spec.Name, spec.Class)
 	fmt.Printf("accesses:         %d\n", len(accs))
 	fmt.Printf("writes:           %.1f%%\n", 100*float64(writes)/n)

@@ -1,10 +1,8 @@
-// Equivalence suite for the columnar block pipeline: for every registered
-// predictor and every workload of the paper's suite, replaying a trace
-// through the batched kernel (Machine.RunBlocks over SoA blocks) must
-// produce a Result identical to the legacy per-access path (Machine.Step
-// per Access). The figure harness and the public Runner both ride the
-// block pipeline, so this is what keeps fixed-seed figure outputs
-// byte-identical across the refactor.
+// Equivalence of the baseline miss stream: the batched analysis front end
+// that the Figure 6–8 studies classify (sim.CollectMissStreamBlocks) must
+// report exactly the events a Machine with no prefetcher observes. The
+// Results of the per-access replay path the block kernel replaced are
+// pinned in capacity_test.go.
 package stems_test
 
 import (
@@ -19,111 +17,54 @@ import (
 	_ "stems/internal/predictors"
 )
 
-// equivKindOptions builds the options the figure harness uses for spec.
-func equivKindOptions(spec workload.Spec) sim.Options {
-	opt := sim.DefaultOptions()
-	opt.System = config.ScaledSystem()
-	opt.Scientific = spec.Scientific
-	return opt
+// missEvent is one off-chip read miss ('m') or L1 eviction ('e').
+type missEvent struct {
+	a       trace.Access
+	covered bool
+	evict   mem.Addr
+	kind    byte
 }
 
-func TestBlockPipelineMatchesPerAccessPath(t *testing.T) {
-	const accesses = 12_000
-	for _, spec := range workload.Suite() {
-		accs := spec.Generate(1, accesses)
-		bt := trace.NewBlockTrace(accs)
-		for _, kind := range sim.AllKinds() {
-			opt := equivKindOptions(spec)
-
-			legacy, err := sim.Build(kind, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range accs {
-				legacy.Step(a)
-			}
-			want := legacy.Finish()
-
-			batched, err := sim.Build(kind, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := batched.RunBlocks(bt.Blocks())
-
-			if got != want {
-				t.Errorf("%s/%s: block pipeline Result diverged\n got: %+v\nwant: %+v",
-					spec.Name, kind, got, want)
-			}
-		}
-	}
+// missObserver records the miss and eviction events a Machine reports.
+type missObserver struct {
+	sim.Nop
+	evs []missEvent
 }
 
-// TestRunMatchesRunBlocks pins Run's adapter path (per-access Source in,
-// block kernel inside) to the direct block path.
-func TestRunMatchesRunBlocks(t *testing.T) {
-	spec, err := workload.ByName("DB2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accs := spec.Generate(3, 20_000)
-	opt := equivKindOptions(spec)
+func (o *missObserver) OnL1Evict(b mem.Addr) {
+	o.evs = append(o.evs, missEvent{evict: b, kind: 'e'})
+}
 
-	m1, err := sim.Build(sim.KindSTeMS, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := m1.Run(trace.NewSliceSource(accs))
-
-	m2, err := sim.Build(sim.KindSTeMS, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := m2.RunBlocks(trace.NewBlockTrace(accs).Blocks())
-
-	if r1 != r2 {
-		t.Fatalf("Run vs RunBlocks diverged:\n r1: %+v\n r2: %+v", r1, r2)
-	}
+func (o *missObserver) OnOffChipEvent(a trace.Access, covered bool) {
+	o.evs = append(o.evs, missEvent{a: a, covered: covered, kind: 'm'})
 }
 
 // TestCollectMissStreamBlocksMatches pins the batched analysis front end
-// to the per-access one: identical miss and eviction streams.
+// to the machine it abstracts: a no-prefetch Machine replaying the same
+// blocks reports the same uncovered off-chip reads and L1 evictions, in
+// the same order.
 func TestCollectMissStreamBlocksMatches(t *testing.T) {
 	spec, err := workload.ByName("Apache")
 	if err != nil {
 		t.Fatal(err)
 	}
-	accs := spec.Generate(2, 30_000)
+	bt := trace.NewBlockTrace(spec.Generate(2, 30_000))
 	sys := config.ScaledSystem()
 
-	type event struct {
-		a     trace.Access
-		evict uint64
-		kind  byte
-	}
-	collect := func(run func(onMiss func(trace.Access), onEvict func(uint64))) []event {
-		var evs []event
-		run(
-			func(a trace.Access) { evs = append(evs, event{a: a, kind: 'm'}) },
-			func(b uint64) { evs = append(evs, event{evict: b, kind: 'e'}) },
-		)
-		return evs
-	}
+	var collected []missEvent
+	sim.CollectMissStreamBlocks(sys, bt.Blocks(),
+		func(a trace.Access) { collected = append(collected, missEvent{a: a, kind: 'm'}) },
+		func(b mem.Addr) { collected = append(collected, missEvent{evict: b, kind: 'e'}) })
 
-	legacy := collect(func(onMiss func(trace.Access), onEvict func(uint64)) {
-		sim.CollectMissStream(sys, trace.NewSliceSource(accs),
-			onMiss, func(b mem.Addr) { onEvict(uint64(b)) })
-	})
-	batched := collect(func(onMiss func(trace.Access), onEvict func(uint64)) {
-		sim.CollectMissStreamBlocks(sys, trace.NewBlockTrace(accs).Blocks(),
-			onMiss, func(b mem.Addr) { onEvict(uint64(b)) })
-	})
+	obs := &missObserver{}
+	sim.NewMachine(sys, obs).RunBlocks(bt.Blocks())
 
-	if len(legacy) != len(batched) {
-		t.Fatalf("event counts differ: legacy %d, batched %d", len(legacy), len(batched))
+	if len(collected) == 0 || len(collected) != len(obs.evs) {
+		t.Fatalf("event counts: collector %d, machine %d", len(collected), len(obs.evs))
 	}
-	for i := range legacy {
-		if legacy[i] != batched[i] {
-			t.Fatalf("event %d differs: legacy %+v, batched %+v", i, legacy[i], batched[i])
+	for i := range collected {
+		if collected[i] != obs.evs[i] {
+			t.Fatalf("event %d differs: collector %+v, machine %+v", i, collected[i], obs.evs[i])
 		}
 	}
 }

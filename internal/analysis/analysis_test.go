@@ -216,7 +216,7 @@ func spatialTrace(n int) trace.BlockSource {
 		}
 		region++
 	}
-	return trace.Blocks(trace.NewSliceSource(accs[:n]))
+	return trace.NewBlockTrace(accs[:n]).Blocks()
 }
 
 // temporalTrace: one long pointer-chase sequence over scattered blocks,
@@ -235,7 +235,7 @@ func temporalTrace(n int) trace.BlockSource {
 	for len(accs) < n {
 		accs = append(accs, chain...)
 	}
-	return trace.Blocks(trace.NewSliceSource(accs[:n]))
+	return trace.NewBlockTrace(accs[:n]).Blocks()
 }
 
 func TestJointSpatialWorkload(t *testing.T) {
@@ -290,7 +290,7 @@ func genTrace(n int, swap bool) trace.BlockSource {
 		}
 		region++
 	}
-	return trace.Blocks(trace.NewSliceSource(accs[:n]))
+	return trace.NewBlockTrace(accs[:n]).Blocks()
 }
 
 func TestCorrDistPerfectRepetition(t *testing.T) {
@@ -331,7 +331,7 @@ func TestCorrDistUnmatchedPairs(t *testing.T) {
 		}
 		// Alternate regions so generations close via eviction pressure.
 	}
-	cd := CorrDistances(testSystem(), trace.Blocks(trace.NewSliceSource(accs)))
+	cd := CorrDistances(testSystem(), trace.NewBlockTrace(accs).Blocks())
 	if cd.Unmatched == 0 {
 		t.Fatalf("no unmatched pairs despite disjoint footprints: %+v", cd)
 	}

@@ -2,7 +2,7 @@
 // joint TMS/SMS coverage classification of Figure 6, the Sequitur-based
 // temporal-repetition taxonomy of Figure 7, and the intra-generation
 // correlation-distance study of Figure 8. All three operate on the baseline
-// off-chip read-miss stream produced by sim.CollectMissStream.
+// off-chip read-miss stream produced by sim.CollectMissStreamBlocks.
 package analysis
 
 import (

@@ -49,11 +49,11 @@ func (c Config) Validate() error {
 // (0 is the most recent way, ways-1 the least), so a touch ages every
 // younger way with a few word-wide operations, and the victim — the way
 // whose age is ways-1 — is found without a per-way scan. An empty way
-// holds a tag no block address can equal, and the empty ways always hold
-// the oldest ages, the lowest-numbered way oldest, so the victim is the
-// lowest empty way while one is left and the least recently used way
-// after that. Bytes past the last way of a word hold an age no way
-// reaches, so no operation moves them.
+// holds a tag no block address can equal. The ways start empty with the
+// lowest-numbered way oldest, and a filled way never empties again, so
+// the victim is the lowest empty way while one is left and the least
+// recently used way after that. Bytes past the last way of a word hold an
+// age no way reaches, so no operation moves them.
 type Cache struct {
 	ways    int
 	words   int // recency words per set
@@ -62,8 +62,8 @@ type Cache struct {
 	sets    []uint64
 
 	// OnEvict, if non-nil, is invoked with the block base address of every
-	// valid block displaced by a fill (or removed by Invalidate). The
-	// spatial predictors use this to terminate generations.
+	// valid block displaced by a fill. The spatial predictors use this to
+	// terminate generations.
 	OnEvict func(block mem.Addr)
 
 	// A missing Access hands the way its Fill should replace to the Fill
@@ -215,39 +215,4 @@ func (c *Cache) Fill(addr mem.Addr) {
 	}
 	*tag = block
 	c.touch(base, w)
-}
-
-// Invalidate removes the block holding addr if present, reporting whether it
-// was. The eviction callback fires, matching the paper's rule that a
-// generation ends "when one of the accessed blocks is evicted or
-// invalidated from the L1 cache" (§2.4).
-func (c *Cache) Invalidate(addr mem.Addr) bool {
-	c.pendWay = -1
-	block, base := c.locate(addr)
-	w := c.find(base, block)
-	if w < 0 {
-		return false
-	}
-	// The way joins the empty ways, which hold the oldest ages in way
-	// order: it takes the age below the empty ways numbered under it, and
-	// every way between its old age and that one gets younger by one.
-	tags := c.sets[base+c.words : base+c.stride]
-	tags[w] = empty
-	to := uint64(c.ways - 1)
-	for _, t := range tags[:w] {
-		if t == empty {
-			to--
-		}
-	}
-	from := c.age(base, w)
-	for j := range tags {
-		if a := c.age(base, j); a > from && a <= to {
-			c.setAge(base, j, a-1)
-		}
-	}
-	c.setAge(base, w, to)
-	if c.OnEvict != nil {
-		c.OnEvict(mem.Addr(block))
-	}
-	return true
 }

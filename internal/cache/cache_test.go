@@ -115,26 +115,6 @@ func TestFillRefreshesExisting(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := small()
-	var evicted []mem.Addr
-	c.OnEvict = func(b mem.Addr) { evicted = append(evicted, b) }
-	a := mem.Addr(0x40)
-	c.Fill(a)
-	if !c.Invalidate(a) {
-		t.Fatal("Invalidate on present block returned false")
-	}
-	if c.Contains(a) {
-		t.Fatal("block still present after Invalidate")
-	}
-	if c.Invalidate(a) {
-		t.Fatal("Invalidate on absent block returned true")
-	}
-	if len(evicted) != 1 || evicted[0] != a.Block() {
-		t.Fatalf("eviction callback got %v, want [%d]", evicted, a.Block())
-	}
-}
-
 func TestOccupancyBounded(t *testing.T) {
 	c := small()
 	for i := 0; i < 1000; i++ {
@@ -162,11 +142,9 @@ func TestFillThenHitProperty(t *testing.T) {
 // Property: the cache models a true LRU set — simulate against a reference
 // model on a single set, at several associativities. Between a miss and
 // its fill the driver interleaves Contains (which must not disturb the
-// miss's victim hand-off) and Invalidate (which must cancel it, since the
-// fill then belongs in the freed way), and sometimes drops the fill
-// altogether so the next miss starts a new hand-off. Every eviction must
-// name the reference's LRU block and fire before the new block is
-// installed.
+// miss's victim hand-off), and sometimes drops the fill altogether so the
+// next miss starts a new hand-off. Every eviction must name the
+// reference's LRU block and fire before the new block is installed.
 func TestLRUMatchesReferenceModel(t *testing.T) {
 	for _, ways := range testWays {
 		c := New(Config{SizeBytes: ways * 64, Ways: ways}) // one set
@@ -208,18 +186,8 @@ func TestLRUMatchesReferenceModel(t *testing.T) {
 				}
 				for n := rng.Intn(3); n > 0; n-- {
 					x := mem.Addr(rng.Intn(blocks) * 64)
-					if rng.Intn(2) == 0 {
-						if c.Contains(x) != (refIndex(x) >= 0) {
-							t.Fatalf("ways=%d step %d: Contains(%d) disagrees between miss and fill", ways, step, x)
-						}
-						continue
-					}
-					evicted = evicted[:0]
-					if c.Invalidate(x) != refRemove(x) {
-						t.Fatalf("ways=%d step %d: Invalidate(%d) disagrees", ways, step, x)
-					}
-					if len(evicted) > 1 || (len(evicted) == 1 && evicted[0] != x) {
-						t.Fatalf("ways=%d step %d: Invalidate(%d) reported %v", ways, step, x, evicted)
+					if c.Contains(x) != (refIndex(x) >= 0) {
+						t.Fatalf("ways=%d step %d: Contains(%d) disagrees between miss and fill", ways, step, x)
 					}
 				}
 				if rng.Intn(8) == 0 {
@@ -361,24 +329,13 @@ func (c *stampCache) fill(addr mem.Addr) {
 	c.valid[set] |= 1 << uint(victim)
 }
 
-func (c *stampCache) invalidate(addr mem.Addr) bool {
-	c.pendWay = -1
-	set, _, w := c.find(addr)
-	if w < 0 {
-		return false
-	}
-	c.valid[set] &^= 1 << uint(w)
-	c.onEvict(addr.Block())
-	return true
-}
-
 // Differential test: the packed recency words against the stamp model, over
 // four sets at every testWays associativity. The stream mixes demand
 // accesses with and without their fill, fills with no access before them
 // (the SVB-hit path fills the L2 that way) and addresses inside a block.
-// Between a miss and its fill it interleaves Contains and Invalidate.
-// Every hit result, victim way, eviction (in order), Contains and
-// Invalidate answer, and the way every block sits in must agree.
+// Between a miss and its fill it interleaves Contains. Every hit result,
+// victim way, eviction (in order), Contains answer, and the way every
+// block sits in must agree.
 func TestPackedSetsMatchStampModel(t *testing.T) {
 	const sets = 4
 	for _, ways := range testWays {
@@ -395,10 +352,6 @@ func TestPackedSetsMatchStampModel(t *testing.T) {
 		for step := 0; step < 40000; step++ {
 			a := addr()
 			switch op := rng.Intn(16); {
-			case op == 0:
-				if c.Invalidate(a) != ref.invalidate(a) {
-					t.Fatalf("ways=%d step %d: Invalidate(%#x) disagrees", ways, step, a)
-				}
 			case op < 3:
 				c.Fill(a)
 				ref.fill(a)
@@ -414,13 +367,8 @@ func TestPackedSetsMatchStampModel(t *testing.T) {
 					t.Fatalf("ways=%d step %d: Access(%#x) chose victim way %d, reference %d", ways, step, a, c.pendWay, ref.pendWay)
 				}
 				for n := rng.Intn(3); n > 0; n-- {
-					x := addr()
-					if rng.Intn(2) == 0 {
-						if c.Contains(x) != ref.contains(x) {
-							t.Fatalf("ways=%d step %d: Contains(%#x) disagrees between miss and fill", ways, step, x)
-						}
-					} else if c.Invalidate(x) != ref.invalidate(x) {
-						t.Fatalf("ways=%d step %d: Invalidate(%#x) disagrees between miss and fill", ways, step, x)
+					if x := addr(); c.Contains(x) != ref.contains(x) {
+						t.Fatalf("ways=%d step %d: Contains(%#x) disagrees between miss and fill", ways, step, x)
 					}
 				}
 				if rng.Intn(8) != 0 {

@@ -42,8 +42,7 @@ func TestBuildAllKinds(t *testing.T) {
 			t.Fatalf("Build(%s): %v", kind, err)
 		}
 		// A tiny run must not panic and must count accesses.
-		src := trace.NewSliceSource([]trace.Access{read(1), read(2), read(1)})
-		res := m.Run(src)
+		res := m.RunBlocks(trace.NewBlockTrace([]trace.Access{read(1), read(2), read(1)}).Blocks())
 		if res.Accesses != 3 {
 			t.Fatalf("%s: accesses = %d", kind, res.Accesses)
 		}
@@ -95,7 +94,7 @@ func TestFetchConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res := m.Run(trace.NewSliceSource(accs))
+			res := m.RunBlocks(trace.NewBlockTrace(accs).Blocks())
 			if res.Fetched != res.Covered+res.Overpredicted {
 				t.Errorf("%s/%s: fetched %d != covered %d + overpredicted %d",
 					name, kind, res.Fetched, res.Covered, res.Overpredicted)
@@ -120,8 +119,8 @@ func TestDeterministicReplay(t *testing.T) {
 		opt.System = testSystem()
 		m1, _ := sim.Build(kind, opt)
 		m2, _ := sim.Build(kind, opt)
-		r1 := m1.Run(trace.NewSliceSource(accs))
-		r2 := m2.Run(trace.NewSliceSource(accs))
+		r1 := m1.RunBlocks(trace.NewBlockTrace(accs).Blocks())
+		r2 := m2.RunBlocks(trace.NewBlockTrace(accs).Blocks())
 		if r1 != r2 {
 			t.Errorf("%s: nondeterministic results:\n%+v\n%+v", kind, r1, r2)
 		}
@@ -138,7 +137,7 @@ func TestAdaptiveBuildOption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.Run(trace.NewSliceSource([]trace.Access{read(1), read(2)}))
+		m.RunBlocks(trace.NewBlockTrace([]trace.Access{read(1), read(2)}).Blocks())
 	}
 }
 
@@ -161,14 +160,14 @@ func TestVirtualizedMetaBuild(t *testing.T) {
 			})
 		}
 	}
-	res := m.Run(trace.NewSliceSource(accs))
+	res := m.RunBlocks(trace.NewBlockTrace(accs).Blocks())
 	if res.MetaTransfers == 0 {
 		t.Fatal("virtualized metadata produced no transfers")
 	}
 	// Without virtualization there must be none.
 	opt.VirtualizedMeta = false
 	m2, _ := sim.Build(sim.KindSTeMS, opt)
-	if res2 := m2.Run(trace.NewSliceSource(accs)); res2.MetaTransfers != 0 {
+	if res2 := m2.RunBlocks(trace.NewBlockTrace(accs).Blocks()); res2.MetaTransfers != 0 {
 		t.Fatal("dedicated-storage run counted metadata transfers")
 	}
 }
@@ -194,7 +193,7 @@ func TestSTeMSContributesReconStats(t *testing.T) {
 			}
 		}
 	}
-	res := m.Run(trace.NewSliceSource(accs))
+	res := m.RunBlocks(trace.NewBlockTrace(accs).Blocks())
 	if res.ReconPlacedExact+res.ReconPlacedNear+res.ReconDropped == 0 {
 		t.Fatal("STeMS run contributed no reconstruction stats")
 	}

@@ -216,29 +216,8 @@ func (m *Machine) ChargeTransfer() {
 	m.res.MetaTransfers++
 }
 
-// Step replays one access.
-func (m *Machine) Step(a trace.Access) {
-	m.res.Accesses++
-	if a.Write {
-		m.res.Writes++
-	} else {
-		m.res.Reads++
-	}
-
-	// Think models the committed work *preceding* the access, so it
-	// elapses before the reference (and before the prefetchers observe it).
-	m.cycle += m.cfg.CoreCyclesPerAccess + uint64(a.Think)
-	l1Hit := m.l1.Access(a.Addr)
-	m.pf.OnAccess(a, l1Hit)
-	if l1Hit {
-		m.res.L1Hits++
-		return
-	}
-	m.stepMiss(a)
-}
-
-// stepMiss is the L1-miss slow path shared by Step and StepBlock: SVB
-// probe, L2, off-chip transfer, and the timing model.
+// stepMiss is StepBlock's L1-miss slow path: SVB probe, L2, off-chip
+// transfer, and the timing model.
 func (m *Machine) stepMiss(a trace.Access) {
 	// Stores invalidate any prefetched copy: the SVB must never serve data
 	// that a store has made stale.
@@ -298,16 +277,8 @@ func (m *Machine) stepMiss(a trace.Access) {
 	}
 }
 
-// Run replays the whole source and finalizes accounting. The source is
-// batched into columnar blocks and replayed through the block kernel; a
-// source that already produces blocks (trace.BlockTrace cursors, v2 trace
-// readers) is consumed without re-batching.
-func (m *Machine) Run(src trace.Source) Result {
-	return m.RunBlocks(trace.Blocks(src))
-}
-
-// RunBlocks replays a block stream and finalizes accounting — the batched
-// counterpart of Run.
+// RunBlocks replays a block stream and finalizes accounting. A per-access
+// trace.Source replays as RunBlocks(trace.Blocks(src)).
 func (m *Machine) RunBlocks(bs trace.BlockSource) Result {
 	var b trace.Block
 	for bs.NextBlock(&b) {
@@ -316,13 +287,12 @@ func (m *Machine) RunBlocks(bs trace.BlockSource) Result {
 	return m.Finish()
 }
 
-// StepBlock replays one columnar block. It is exactly equivalent to
-// calling Step on each access in order (the equivalence suite asserts
-// identical Results for every predictor), but iterates the block's columns
-// in a tight loop: the per-access virtual Source call and 24-byte struct
-// copy disappear, bounds checks are hoisted onto the column slices, and
-// reads and writes are counted once per block from the write bitset, whose
-// bits past N a Block keeps clear.
+// StepBlock replays one columnar block, access by access in order. It
+// iterates the block's columns in a tight loop: bounds checks are hoisted
+// onto the column slices, and reads and writes are counted once per block
+// from the write bitset, whose bits past N a Block keeps clear. Think
+// models the committed work *preceding* an access, so it elapses before
+// the reference (and before the prefetchers observe it).
 func (m *Machine) StepBlock(b *trace.Block) {
 	n := b.N
 	if n == 0 {
@@ -378,32 +348,14 @@ func (m *Machine) Finish() Result {
 // Cycle returns the current simulation time.
 func (m *Machine) Cycle() uint64 { return m.cycle }
 
-// Invalidate models a coherence invalidation of the block holding addr:
-// the block is removed from both caches and the SVB. An L1 invalidation
-// ends the owning spatial generation, exactly like an eviction (§2.4: a
-// generation ends "when one of the accessed blocks is evicted or
-// invalidated from the L1 cache"); an unconsumed SVB entry counts as an
-// overprediction.
-func (m *Machine) Invalidate(addr mem.Addr) {
-	m.l1.Invalidate(addr) // fires OnEvict -> pf.OnL1Evict
-	m.l2.Invalidate(addr)
-	if m.engine != nil {
-		m.engine.Invalidate(addr)
-	}
-}
-
-// CollectMissStream replays src through the cache hierarchy with no
+// CollectMissStreamBlocks replays bs through the cache hierarchy with no
 // prefetching, invoking onMiss for every off-chip demand read miss and
-// onEvict for every L1 eviction. This is the trace-analysis front end used
-// by the Figure 6–8 studies, which classify the *baseline* miss stream.
-func CollectMissStream(cfg config.System, src trace.Source, onMiss func(trace.Access), onEvict func(mem.Addr)) {
-	CollectMissStreamBlocks(cfg, trace.Blocks(src), onMiss, onEvict)
-}
-
-// CollectMissStreamBlocks is the batched form of CollectMissStream. The
-// hit path touches only the address column; the write bit is read only for
-// off-chip misses, and the full access record is decoded only for the
-// off-chip reads handed to onMiss.
+// onEvict for every L1 eviction: the events a Machine with no prefetcher
+// reports through OnOffChipEvent and OnL1Evict. This is the trace-analysis
+// front end used by the Figure 6–8 studies, which classify the *baseline*
+// miss stream. The hit path touches only the address column; the write
+// bit is read only for off-chip misses, and the full access record is
+// decoded only for the off-chip reads handed to onMiss.
 func CollectMissStreamBlocks(cfg config.System, bs trace.BlockSource, onMiss func(trace.Access), onEvict func(mem.Addr)) {
 	l1 := cache.New(cache.Config{SizeBytes: cfg.L1SizeBytes, Ways: cfg.L1Ways})
 	l2 := cache.New(cache.Config{SizeBytes: cfg.L2SizeBytes, Ways: cfg.L2Ways})

@@ -20,11 +20,18 @@ func read(block int) trace.Access {
 	return trace.Access{Addr: mem.Addr(block * mem.BlockSize)}
 }
 
+// step replays one access through the block kernel.
+func step(m *Machine, a trace.Access) {
+	var b trace.Block
+	b.Append(a)
+	m.StepBlock(&b)
+}
+
 func TestL1HitCost(t *testing.T) {
 	m := NewMachine(testSystem(), Nop{})
-	m.Step(read(1)) // off-chip miss
+	step(m, read(1)) // off-chip miss
 	c := m.Cycle()
-	m.Step(read(1)) // L1 hit
+	step(m, read(1)) // L1 hit
 	if got := m.Cycle() - c; got != testSystem().CoreCyclesPerAccess {
 		t.Fatalf("L1 hit cost = %d, want %d", got, testSystem().CoreCyclesPerAccess)
 	}
@@ -34,14 +41,14 @@ func TestOffChipCosts(t *testing.T) {
 	sys := testSystem()
 	m := NewMachine(sys, Nop{})
 	c0 := m.Cycle()
-	m.Step(read(1)) // independent off-chip miss
+	step(m, read(1)) // independent off-chip miss
 	indep := m.Cycle() - c0
 	wantIndep := sys.CoreCyclesPerAccess + sys.OffChipCycles/uint64(sys.MLP)
 	if indep != wantIndep {
 		t.Fatalf("independent miss cost = %d, want %d", indep, wantIndep)
 	}
 	c1 := m.Cycle()
-	m.Step(trace.Access{Addr: mem.Addr(99 * mem.BlockSize), Dep: true})
+	step(m, trace.Access{Addr: mem.Addr(99 * mem.BlockSize), Dep: true})
 	dep := m.Cycle() - c1
 	wantDep := sys.CoreCyclesPerAccess + sys.OffChipCycles
 	if dep != wantDep {
@@ -52,14 +59,14 @@ func TestOffChipCosts(t *testing.T) {
 func TestL2HitCost(t *testing.T) {
 	sys := testSystem()
 	m := NewMachine(sys, Nop{})
-	m.Step(read(1))
+	step(m, read(1))
 	// Evict block 1 from the tiny L1 (same set: stride = sets*64).
 	sets := (sys.L1SizeBytes / 64) / sys.L1Ways
 	for i := 1; i <= sys.L1Ways; i++ {
-		m.Step(read(1 + i*sets))
+		step(m, read(1+i*sets))
 	}
 	c := m.Cycle()
-	m.Step(read(1)) // L1 miss, L2 hit
+	step(m, read(1)) // L1 miss, L2 hit
 	got := m.Cycle() - c
 	want := sys.CoreCyclesPerAccess + sys.L2HitCycles
 	if got != want {
@@ -71,7 +78,7 @@ func TestWritesNeverStall(t *testing.T) {
 	sys := testSystem()
 	m := NewMachine(sys, Nop{})
 	c := m.Cycle()
-	m.Step(trace.Access{Addr: 0x100000, Write: true}) // off-chip write
+	step(m, trace.Access{Addr: 0x100000, Write: true}) // off-chip write
 	if got := m.Cycle() - c; got != sys.CoreCyclesPerAccess {
 		t.Fatalf("write stalled %d cycles (store-wait-free model)", got)
 	}
@@ -86,9 +93,9 @@ func TestWritesNeverStall(t *testing.T) {
 
 func TestThinkTimeAccrues(t *testing.T) {
 	m := NewMachine(testSystem(), Nop{})
-	m.Step(read(1))
+	step(m, read(1))
 	c := m.Cycle()
-	m.Step(trace.Access{Addr: 64, Think: 500})
+	step(m, trace.Access{Addr: 64, Think: 500})
 	if got := m.Cycle() - c; got != 500+testSystem().CoreCyclesPerAccess {
 		t.Fatalf("think cost = %d", got)
 	}
@@ -118,8 +125,8 @@ func TestSVBCoverageAccounting(t *testing.T) {
 	pf := &coveringPrefetcher{engine: eng, target: read(50).Addr}
 	m.SetPrefetcher(pf)
 
-	m.Step(read(1))  // miss -> prefetch block 50 issued
-	m.Step(read(50)) // must hit the SVB
+	step(m, read(1))  // miss -> prefetch block 50 issued
+	step(m, read(50)) // must hit the SVB
 	res := m.Finish()
 	if res.Covered != 1 {
 		t.Fatalf("covered = %d, want 1", res.Covered)
@@ -140,7 +147,7 @@ func TestUnusedPrefetchIsOverprediction(t *testing.T) {
 	eng := m.AttachEngine(stream.Config{SVBEntries: 8})
 	pf := &coveringPrefetcher{engine: eng, target: read(777).Addr}
 	m.SetPrefetcher(pf)
-	m.Step(read(1))
+	step(m, read(1))
 	res := m.Finish()
 	if res.Overpredicted != 1 {
 		t.Fatalf("overpredicted = %d, want 1", res.Overpredicted)
@@ -156,9 +163,9 @@ func TestInFlightSVBHitWaits(t *testing.T) {
 	eng := m.AttachEngine(stream.Config{SVBEntries: 8})
 	pf := &coveringPrefetcher{engine: eng, target: read(50).Addr}
 	m.SetPrefetcher(pf)
-	m.Step(read(1)) // prefetch issues ~here; ready at ~issue+400
+	step(m, read(1)) // prefetch issues ~here; ready at ~issue+400
 	c := m.Cycle()
-	m.Step(read(50)) // SVB hit but in flight: waits for arrival
+	step(m, read(50)) // SVB hit but in flight: waits for arrival
 	wait := m.Cycle() - c
 	if wait <= sys.SVBHitCycles+sys.CoreCyclesPerAccess {
 		t.Fatalf("in-flight hit did not wait (cost %d)", wait)
@@ -176,7 +183,7 @@ func TestChannelBackpressure(t *testing.T) {
 	m := NewMachine(sys, Nop{})
 	var last uint64
 	for i := 0; i < 8; i++ {
-		m.Step(trace.Access{Addr: mem.Addr(0x100000 + i*64)})
+		step(m, trace.Access{Addr: mem.Addr(0x100000 + i*64)})
 		d := m.Cycle() - last
 		last = m.Cycle()
 		_ = d
@@ -186,7 +193,7 @@ func TestChannelBackpressure(t *testing.T) {
 	sys.MemChannels = 8
 	m2 := NewMachine(sys, Nop{})
 	for i := 0; i < 8; i++ {
-		m2.Step(trace.Access{Addr: mem.Addr(0x100000 + i*64)})
+		step(m2, trace.Access{Addr: mem.Addr(0x100000 + i*64)})
 	}
 	if congested <= m2.Cycle() {
 		t.Fatalf("1-channel run (%d cycles) not slower than 8-channel (%d)", congested, m2.Cycle())
@@ -233,7 +240,7 @@ func TestCollectMissStream(t *testing.T) {
 		{Addr: 0x40000, Write: true}, // write miss: not reported
 		read(2),
 	}
-	CollectMissStream(sys, trace.NewSliceSource(accs),
+	CollectMissStreamBlocks(sys, trace.NewBlockTrace(accs).Blocks(),
 		func(a trace.Access) { misses = append(misses, a.Addr.Block()) },
 		func(mem.Addr) { evicts++ })
 	want := []mem.Addr{read(1).Addr.Block(), read(2).Addr.Block()}
@@ -271,48 +278,6 @@ func TestNewMachinePanicsOnBadConfig(t *testing.T) {
 	NewMachine(config.System{}, Nop{})
 }
 
-// invalObserver records generation-ending notifications.
-type invalObserver struct {
-	Nop
-	evicts []mem.Addr
-}
-
-func (o *invalObserver) OnL1Evict(b mem.Addr) { o.evicts = append(o.evicts, b) }
-
-func TestInvalidateEndsGenerations(t *testing.T) {
-	obs := &invalObserver{}
-	m := NewMachine(testSystem(), Nop{})
-	m.SetPrefetcher(obs)
-	m.Step(read(1))
-	m.Invalidate(read(1).Addr)
-	if len(obs.evicts) == 0 || obs.evicts[len(obs.evicts)-1] != read(1).Addr.Block() {
-		t.Fatalf("invalidation did not notify the prefetcher: %v", obs.evicts)
-	}
-	// The block is gone from both levels: the next access goes off chip.
-	before := m.Finish().OffChipReads
-	m.Step(read(1))
-	if m.res.OffChipReads != before+1 {
-		t.Fatal("invalidated block still resident")
-	}
-}
-
-func TestInvalidateDropsSVBEntry(t *testing.T) {
-	m := NewMachine(testSystem(), Nop{})
-	eng := m.AttachEngine(stream.Config{SVBEntries: 8})
-	pf := &coveringPrefetcher{engine: eng, target: read(50).Addr}
-	m.SetPrefetcher(pf)
-	m.Step(read(1)) // issues the prefetch of block 50
-	m.Invalidate(read(50).Addr)
-	m.Step(read(50)) // must NOT be covered now
-	res := m.Finish()
-	if res.Covered != 0 {
-		t.Fatal("invalidated SVB entry served a hit")
-	}
-	if res.Overpredicted != 1 {
-		t.Fatalf("overpredicted = %d, want 1", res.Overpredicted)
-	}
-}
-
 // TestStoreInvalidatesSVBEntry: a store to a prefetched block must drop the
 // stale SVB copy so a later read refetches coherent data.
 func TestStoreInvalidatesSVBEntry(t *testing.T) {
@@ -320,9 +285,9 @@ func TestStoreInvalidatesSVBEntry(t *testing.T) {
 	eng := m.AttachEngine(stream.Config{SVBEntries: 8})
 	pf := &coveringPrefetcher{engine: eng, target: read(50).Addr}
 	m.SetPrefetcher(pf)
-	m.Step(read(1))                                        // prefetch block 50
-	m.Step(trace.Access{Addr: read(50).Addr, Write: true}) // store to it
-	m.Step(read(50))
+	step(m, read(1))                                        // prefetch block 50
+	step(m, trace.Access{Addr: read(50).Addr, Write: true}) // store to it
+	step(m, read(50))
 	res := m.Finish()
 	if res.Covered != 0 {
 		t.Fatal("stale SVB entry served a read after a store")

@@ -47,8 +47,8 @@ type Block struct {
 	// before reuse.
 	shared bool
 	// pcLookup inverts PCDict during appends — a flat probe table, not a
-	// Go map, because the Blocks adapter runs Append once per access on
-	// the legacy-source replay path.
+	// Go map, because the Blocks adapter runs Append once per access of a
+	// custom Source.
 	pcLookup *flat.U64Table[uint16]
 }
 
@@ -166,9 +166,9 @@ type BlockSource interface {
 	NextBlock(b *Block) bool
 }
 
-// Blocks adapts a legacy per-access Source to a BlockSource. A source that
-// already implements BlockSource (a *Reader on a v2 trace, a BlockTrace
-// cursor) is returned unwrapped.
+// Blocks adapts a per-access Source to a BlockSource, batching up to
+// BlockCap accesses into each block. A Source that also implements
+// BlockSource is returned unwrapped.
 func Blocks(src Source) BlockSource {
 	if bs, ok := src.(BlockSource); ok {
 		return bs

@@ -218,11 +218,12 @@ func TestBlockTraceConcurrentCursors(t *testing.T) {
 	wg.Wait()
 }
 
-// dualSource implements both Source and BlockSource, like *Reader.
+// dualSource implements both Source and BlockSource.
 type dualSource struct {
-	SliceSource
 	bt *BlockTrace
 }
+
+func (d *dualSource) Next(*Access) bool { return false }
 
 func (d *dualSource) NextBlock(b *Block) bool { return d.bt.Blocks().NextBlock(b) }
 
@@ -391,41 +392,8 @@ func TestBlockTraceAppendBlock(t *testing.T) {
 	}
 }
 
-func TestCollectPreallocatesFromHints(t *testing.T) {
-	in := randomAccesses(8, 5000)
-	for name, src := range map[string]Source{
-		"slice": NewSliceSource(in),
-		"limit": NewLimit(NewSliceSource(in), 2000),
-	} {
-		got := Collect(src, 0)
-		want := len(in)
-		if name == "limit" {
-			want = 2000
-		}
-		if len(got) != want {
-			t.Fatalf("%s: collected %d, want %d", name, len(got), want)
-		}
-		// The hint sized the backing array exactly: no growth headroom.
-		if cap(got) != want {
-			t.Errorf("%s: cap = %d, want exactly %d (preallocated)", name, cap(got), want)
-		}
-	}
-}
-
-func TestLimitLenHint(t *testing.T) {
-	if got := NewLimit(NewSliceSource(mkAccesses(4)), 100).Len(); got != 4 {
-		t.Fatalf("Limit(100) over 4 hints %d, want 4", got)
-	}
-	if got := NewLimit(NewSliceSource(mkAccesses(100)), 7).Len(); got != 7 {
-		t.Fatalf("Limit(7) over 100 hints %d, want 7", got)
-	}
-	if got := NewLimit(NewReader(bytes.NewReader(nil)), 7).Len(); got != 7 {
-		t.Fatalf("Limit(7) over unhinted source hints %d, want 7", got)
-	}
-}
-
 // TestLimitBlocksMatchesPerAccessLimit pins the block-native limiter
-// against the per-access Limit at limits that cut a block mid-word, over
+// against the accesses' prefix at limits that cut a block mid-word, over
 // both block producers that hand out aliased storage: a BlockTrace cursor
 // and a v2 trace reader. The crossing block holds stores only past the
 // limit, so a limiter that kept the stale flag bits would report writes
@@ -438,10 +406,10 @@ func TestLimitBlocksMatchesPerAccessLimit(t *testing.T) {
 		for i := BlockCap; i < 2*BlockCap; i++ {
 			accs[i].Write = i >= limit
 		}
-		want := Collect(NewLimit(NewSliceSource(accs), limit), 0)
+		want := accs[:min(limit, len(accs))]
 
 		bt := NewBlockTrace(accs)
-		r := NewReader(bytes.NewReader(writeTrace(t, accs, traceV2)))
+		r := NewReader(bytes.NewReader(writeTrace(t, accs)))
 		for name, bs := range map[string]BlockSource{"blocktrace": bt.Blocks(), "v2": r} {
 			var got []Access
 			var b Block

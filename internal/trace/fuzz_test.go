@@ -12,13 +12,9 @@ import (
 // all failures surface as ErrBadTrace (or clean EOF), whichever format
 // version the header claims.
 func FuzzReader(f *testing.F) {
-	var valid bytes.Buffer
-	w := NewWriter(&valid)
-	_ = w.Write(Access{Addr: 4096, PC: 7})
-	_ = w.Flush()
-	f.Add(valid.Bytes())
+	f.Add(encodeV1([]Access{{Addr: 4096, PC: 7}}))
 	var validV2 bytes.Buffer
-	w2 := NewWriterV2(&validV2)
+	w2 := NewWriter(&validV2)
 	_ = w2.Write(Access{Addr: 4096, PC: 7, Dep: true})
 	_ = w2.Write(Access{Addr: 128, PC: 9, Write: true, Think: 12})
 	_ = w2.Flush()
@@ -27,10 +23,13 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
-		var a Access
+		var b Block
 		n := 0
-		for r.Next(&a) {
-			n++
+		for r.NextBlock(&b) {
+			for i := 0; i < b.N; i++ {
+				_ = b.At(i) // every access of a yielded block must decode
+			}
+			n += b.N
 			if n > 1<<20 {
 				t.Fatal("reader yielded implausibly many records")
 			}
@@ -39,9 +38,10 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// FuzzV1V2RoundTrip decodes the fuzz input into an access sequence, writes
-// it under both format versions, and asserts both decode back bit-exactly
-// — the lossless v1↔v2 contract.
+// FuzzV1V2RoundTrip decodes the fuzz input into an access sequence,
+// encodes it in both format versions (v1 with the tests' encoder, v2 with
+// Writer), and asserts both decode back bit-exactly through NextBlock —
+// the lossless v1↔v2 contract.
 func FuzzV1V2RoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22})
@@ -59,17 +59,14 @@ func FuzzV1V2RoundTrip(f *testing.F) {
 			})
 			data = data[rec:]
 		}
-		for _, version := range []int{traceV1, traceV2} {
-			var buf bytes.Buffer
-			w, err := NewWriterVersion(&buf, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if w.WriteAll(in) != nil || w.Flush() != nil {
-				t.Fatalf("v%d write failed", version)
-			}
-			r := NewReader(&buf)
-			out := Collect(r, 0)
+		var v2 bytes.Buffer
+		w := NewWriter(&v2)
+		if w.WriteAll(in) != nil || w.Flush() != nil {
+			t.Fatal("v2 write failed")
+		}
+		for version, enc := range map[int][]byte{traceV1: encodeV1(in), traceV2: v2.Bytes()} {
+			r := NewReader(bytes.NewReader(enc))
+			out := collectBlocks(r)
 			if r.Err() != nil {
 				t.Fatalf("v%d read: %v", version, r.Err())
 			}

@@ -7,16 +7,17 @@ package trace
 //
 //	header:  "STEMSTRC" | uint32 version | uint32 reserved
 //
-// Version 1 is the legacy fixed-width record stream (24 bytes/access):
+// Version 1 is the legacy fixed-width record stream (24 bytes/access).
+// Reader still decodes it; Writer no longer emits it:
 //
 //	record:  uint64 addr | uint64 pc | uint16 think | uint8 flags | 5 pad
 //	flags:   bit0 = write, bit1 = dependent
 //
-// Version 2 is the columnar block format: the trace is a sequence of
-// frames, one per Block (≤ BlockCap accesses), each laid out column by
-// column so the shared structure compresses — addresses as zigzag-varint
-// deltas from the previous access (carried across frames), PCs through a
-// per-frame dictionary, flags as bitsets:
+// Version 2, the format Writer emits, is the columnar block format: the
+// trace is a sequence of frames, one per Block (≤ BlockCap accesses), each
+// laid out column by column so the shared structure compresses —
+// addresses as zigzag-varint deltas from the previous access (carried
+// across frames), PCs through a per-frame dictionary, flags as bitsets:
 //
 //	frame:  uvarint n                  accesses in the frame (1..BlockCap)
 //	        uvarint d                  PC dictionary size (1..n)
@@ -55,40 +56,22 @@ const (
 // ErrBadTrace reports a malformed trace stream.
 var ErrBadTrace = errors.New("trace: malformed trace file")
 
-// Writer streams accesses to an io.Writer in the binary format.
+// Writer streams accesses to an io.Writer in the v2 format.
 type Writer struct {
-	w       *bufio.Writer
-	version uint32
-	n       uint64
-	wrote   bool
+	w     *bufio.Writer
+	n     uint64
+	wrote bool
 
-	// v2 state: the pending block and the running address predictor.
+	// The pending frame and the running address predictor.
 	pending  Block
 	prevAddr uint64
 	scratch  []byte
 }
 
-// NewWriter creates a version-1 Writer; the header is emitted on the first
-// Write.
-func NewWriter(w io.Writer) *Writer { return newWriter(w, traceV1) }
-
-// NewWriterV2 creates a Writer emitting the columnar v2 format.
-func NewWriterV2(w io.Writer) *Writer { return newWriter(w, traceV2) }
-
-// NewWriterVersion creates a Writer for an explicit format version.
-func NewWriterVersion(w io.Writer, version int) (*Writer, error) {
-	if version != traceV1 && version != traceV2 {
-		return nil, fmt.Errorf("trace: unsupported trace format version %d", version)
-	}
-	return newWriter(w, uint32(version)), nil
+// NewWriter creates a Writer; the header is emitted on the first Write.
+func NewWriter(w io.Writer) *Writer {
+	return &Writer{w: bufio.NewWriterSize(w, 1<<16)}
 }
-
-func newWriter(w io.Writer, version uint32) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 1<<16), version: version}
-}
-
-// Version returns the format version the writer emits.
-func (w *Writer) Version() int { return int(w.version) }
 
 func (w *Writer) header() error {
 	if w.wrote {
@@ -99,7 +82,7 @@ func (w *Writer) header() error {
 		return err
 	}
 	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], w.version)
+	binary.LittleEndian.PutUint32(hdr[0:], traceV2)
 	_, err := w.w.Write(hdr[:])
 	return err
 }
@@ -109,30 +92,11 @@ func (w *Writer) Write(a Access) error {
 	if err := w.header(); err != nil {
 		return err
 	}
-	if w.version == traceV2 {
-		w.pending.Append(a)
-		w.n++
-		if w.pending.Full() {
-			return w.writeFrame(&w.pending)
-		}
-		return nil
-	}
-	var rec [recordBytes]byte
-	binary.LittleEndian.PutUint64(rec[0:], uint64(a.Addr))
-	binary.LittleEndian.PutUint64(rec[8:], a.PC)
-	binary.LittleEndian.PutUint16(rec[16:], a.Think)
-	var flags byte
-	if a.Write {
-		flags |= flagWrite
-	}
-	if a.Dep {
-		flags |= flagDep
-	}
-	rec[18] = flags
-	if _, err := w.w.Write(rec[:]); err != nil {
-		return err
-	}
+	w.pending.Append(a)
 	w.n++
+	if w.pending.Full() {
+		return w.writeFrame(&w.pending)
+	}
 	return nil
 }
 
@@ -146,10 +110,10 @@ func (w *Writer) WriteAll(accs []Access) error {
 	return nil
 }
 
-// WriteBlock appends every access of a block. On a v2 writer with no
-// partial frame pending, the block is encoded as one frame directly.
+// WriteBlock appends every access of a block. With no partial frame
+// pending, the block is encoded as one frame directly.
 func (w *Writer) WriteBlock(b *Block) error {
-	if w.version == traceV2 && w.pending.N == 0 {
+	if w.pending.N == 0 {
 		if err := w.header(); err != nil {
 			return err
 		}
@@ -216,13 +180,13 @@ func appendFlagBytes(buf []byte, words []uint64, n int) []byte {
 	return buf
 }
 
-// Flush writes buffered data, any pending v2 frame, and the header (for
+// Flush writes buffered data, any pending frame, and the header (for
 // empty traces).
 func (w *Writer) Flush() error {
 	if err := w.header(); err != nil {
 		return err
 	}
-	if w.version == traceV2 && w.pending.N > 0 {
+	if w.pending.N > 0 {
 		if err := w.writeFrame(&w.pending); err != nil {
 			return err
 		}
@@ -233,8 +197,8 @@ func (w *Writer) Flush() error {
 // Count returns the number of records written.
 func (w *Writer) Count() uint64 { return w.n }
 
-// Reader replays a binary trace (either version) as a Source and, for
-// batched consumers, as a BlockSource.
+// Reader replays a binary trace of either format version as a
+// BlockSource.
 type Reader struct {
 	r       *bufio.Reader
 	err     error
@@ -242,9 +206,8 @@ type Reader struct {
 	version uint32
 	n       uint64
 
-	// v2 state: the current decoded frame and the read cursor into it.
+	// v2 state: the current decoded frame and the running address.
 	cur      Block
-	pos      int
 	prevAddr uint64
 }
 
@@ -275,45 +238,10 @@ func (r *Reader) open() error {
 // Version returns the format version, valid after the first read.
 func (r *Reader) Version() int { return int(r.version) }
 
-// Next implements Source. After the stream ends (or errors), Err reports
-// any failure other than a clean EOF.
-func (r *Reader) Next(a *Access) bool {
-	if r.err != nil {
-		return false
-	}
-	if err := r.open(); err != nil {
-		r.err = err
-		return false
-	}
-	if r.version == traceV2 {
-		if r.pos >= r.cur.N && !r.readFrame() {
-			return false
-		}
-		*a = r.cur.At(r.pos)
-		r.pos++
-		r.n++
-		return true
-	}
-	var rec [recordBytes]byte
-	if _, err := io.ReadFull(r.r, rec[:]); err != nil {
-		if err != io.EOF {
-			r.err = fmt.Errorf("%w: truncated record: %v", ErrBadTrace, err)
-		}
-		return false
-	}
-	a.Addr = mem.Addr(binary.LittleEndian.Uint64(rec[0:]))
-	a.PC = binary.LittleEndian.Uint64(rec[8:])
-	a.Think = binary.LittleEndian.Uint16(rec[16:])
-	a.Write = rec[18]&flagWrite != 0
-	a.Dep = rec[18]&flagDep != 0
-	r.n++
-	return true
-}
-
 // NextBlock implements BlockSource. On a v2 trace a whole frame is decoded
 // and handed out without copying; on a v1 trace up to BlockCap records are
-// batched into b. Interleaving Next and NextBlock is supported: a block
-// whose head was already consumed by Next yields only the remainder.
+// decoded into b. After the stream ends (or errors), Err reports any
+// failure other than a clean EOF.
 func (r *Reader) NextBlock(b *Block) bool {
 	if r.err != nil {
 		return false
@@ -323,34 +251,42 @@ func (r *Reader) NextBlock(b *Block) bool {
 		return false
 	}
 	if r.version == traceV2 {
-		if r.pos >= r.cur.N && !r.readFrame() {
+		if !r.readFrame() {
 			return false
 		}
-		r.n += uint64(r.cur.N - r.pos)
-		if r.pos == 0 {
-			b.aliasFrom(&r.cur)
-		} else {
-			b.Reset()
-			for ; r.pos < r.cur.N; r.pos++ {
-				b.Append(r.cur.At(r.pos))
-			}
-		}
-		r.pos = r.cur.N
-		return b.N > 0
+		b.aliasFrom(&r.cur)
+	} else {
+		r.readRecords(b)
 	}
-	b.Reset()
-	var a Access
-	for b.N < BlockCap && r.Next(&a) {
-		b.Append(a)
-	}
+	r.n += uint64(b.N)
 	return b.N > 0
 }
 
-// readFrame decodes the next v2 frame into r.cur, resetting the cursor.
-// It returns false on clean EOF or error.
+// readRecords decodes up to BlockCap v1 records into b.
+func (r *Reader) readRecords(b *Block) {
+	b.Reset()
+	var rec [recordBytes]byte
+	for b.N < BlockCap {
+		if _, err := io.ReadFull(r.r, rec[:]); err != nil {
+			if err != io.EOF {
+				r.err = fmt.Errorf("%w: truncated record: %v", ErrBadTrace, err)
+			}
+			return
+		}
+		b.Append(Access{
+			Addr:  mem.Addr(binary.LittleEndian.Uint64(rec[0:])),
+			PC:    binary.LittleEndian.Uint64(rec[8:]),
+			Think: binary.LittleEndian.Uint16(rec[16:]),
+			Write: rec[18]&flagWrite != 0,
+			Dep:   rec[18]&flagDep != 0,
+		})
+	}
+}
+
+// readFrame decodes the next v2 frame into r.cur. It returns false on
+// clean EOF or error.
 func (r *Reader) readFrame() bool {
 	r.cur.Reset()
-	r.pos = 0
 	n64, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		if err != io.EOF {

@@ -8,14 +8,11 @@ import (
 	"stems/internal/mem"
 )
 
-// writeTrace encodes in with the given format version.
-func writeTrace(t *testing.T, in []Access, version int) []byte {
+// writeTrace encodes in with Writer, in the v2 format.
+func writeTrace(t *testing.T, in []Access) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriterVersion(&buf, version)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := NewWriter(&buf)
 	if err := w.WriteAll(in); err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +20,7 @@ func writeTrace(t *testing.T, in []Access, version int) []byte {
 		t.Fatal(err)
 	}
 	if w.Count() != uint64(len(in)) {
-		t.Fatalf("v%d writer count = %d, want %d", version, w.Count(), len(in))
+		t.Fatalf("writer count = %d, want %d", w.Count(), len(in))
 	}
 	return buf.Bytes()
 }
@@ -35,8 +32,8 @@ func TestV2RoundTrip(t *testing.T) {
 		{Addr: ^mem.Addr(0), PC: ^uint64(0), Write: true, Dep: true, Think: 65535},
 		{Addr: 1, PC: 42}, // huge negative delta after ^0
 	}...)
-	r := NewReader(bytes.NewReader(writeTrace(t, in, traceV2)))
-	out := Collect(r, 0)
+	r := NewReader(bytes.NewReader(writeTrace(t, in)))
+	out := collectBlocks(r)
 	if r.Err() != nil {
 		t.Fatalf("reader error: %v", r.Err())
 	}
@@ -57,20 +54,20 @@ func TestV2RoundTrip(t *testing.T) {
 }
 
 func TestV2EmptyTrace(t *testing.T) {
-	r := NewReader(bytes.NewReader(writeTrace(t, nil, traceV2)))
-	if out := Collect(r, 0); len(out) != 0 || r.Err() != nil {
+	r := NewReader(bytes.NewReader(writeTrace(t, nil)))
+	if out := collectBlocks(r); len(out) != 0 || r.Err() != nil {
 		t.Fatalf("empty v2 trace: %d records, err %v", len(out), r.Err())
 	}
 }
 
 // TestV1V2Equivalence is the cross-format contract: the same accesses
-// written under both versions decode to identical records.
+// encoded in both versions decode to identical records.
 func TestV1V2Equivalence(t *testing.T) {
 	in := randomAccesses(12, 3*BlockCap+19)
-	v1 := NewReader(bytes.NewReader(writeTrace(t, in, traceV1)))
-	v2 := NewReader(bytes.NewReader(writeTrace(t, in, traceV2)))
-	a1 := Collect(v1, 0)
-	a2 := Collect(v2, 0)
+	v1 := NewReader(bytes.NewReader(encodeV1(in)))
+	v2 := NewReader(bytes.NewReader(writeTrace(t, in)))
+	a1 := collectBlocks(v1)
+	a2 := collectBlocks(v2)
 	if v1.Err() != nil || v2.Err() != nil {
 		t.Fatalf("errors: v1=%v v2=%v", v1.Err(), v2.Err())
 	}
@@ -86,8 +83,8 @@ func TestV1V2Equivalence(t *testing.T) {
 
 func TestV2SmallerThanV1(t *testing.T) {
 	in := randomAccesses(13, 2*BlockCap)
-	v1 := writeTrace(t, in, traceV1)
-	v2 := writeTrace(t, in, traceV2)
+	v1 := encodeV1(in)
+	v2 := writeTrace(t, in)
 	if len(v2)*2 >= len(v1) {
 		t.Fatalf("v2 = %d bytes vs v1 = %d; want at least 2x smaller", len(v2), len(v1))
 	}
@@ -95,7 +92,7 @@ func TestV2SmallerThanV1(t *testing.T) {
 
 func TestV2NextBlockAligned(t *testing.T) {
 	in := randomAccesses(14, BlockCap+99)
-	r := NewReader(bytes.NewReader(writeTrace(t, in, traceV2)))
+	r := NewReader(bytes.NewReader(writeTrace(t, in)))
 	var b Block
 	total := 0
 	for r.NextBlock(&b) {
@@ -117,7 +114,7 @@ func TestV2NextBlockAligned(t *testing.T) {
 // TestV1NextBlock covers the batching path over the legacy record format.
 func TestV1NextBlock(t *testing.T) {
 	in := randomAccesses(15, BlockCap+7)
-	r := NewReader(bytes.NewReader(writeTrace(t, in, traceV1)))
+	r := NewReader(bytes.NewReader(encodeV1(in)))
 	var b Block
 	var got []Access
 	for r.NextBlock(&b) {
@@ -138,43 +135,11 @@ func TestV1NextBlock(t *testing.T) {
 	}
 }
 
-// TestV2MixedNextAndNextBlock drains a few accesses one at a time, then
-// switches to block reads: nothing is lost or duplicated.
-func TestV2MixedNextAndNextBlock(t *testing.T) {
-	in := randomAccesses(16, BlockCap+50)
-	r := NewReader(bytes.NewReader(writeTrace(t, in, traceV2)))
-	got := make([]Access, 0, len(in))
-	var a Access
-	for i := 0; i < 10; i++ {
-		if !r.Next(&a) {
-			t.Fatal("early EOF")
-		}
-		got = append(got, a)
-	}
-	var b Block
-	for r.NextBlock(&b) {
-		for i := 0; i < b.N; i++ {
-			got = append(got, b.At(i))
-		}
-	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-	if len(got) != len(in) {
-		t.Fatalf("mixed read yielded %d accesses, want %d", len(got), len(in))
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("access %d = %+v, want %+v", i, got[i], in[i])
-		}
-	}
-}
-
 func TestV2WriteBlockFastPath(t *testing.T) {
 	in := randomAccesses(17, BlockCap+BlockCap/2)
 	bt := NewBlockTrace(in)
 	var buf bytes.Buffer
-	w := NewWriterV2(&buf)
+	w := NewWriter(&buf)
 	var b Block
 	cur := bt.Blocks()
 	for cur.NextBlock(&b) {
@@ -188,7 +153,10 @@ func TestV2WriteBlockFastPath(t *testing.T) {
 	if w.Count() != uint64(len(in)) {
 		t.Fatalf("Count = %d, want %d", w.Count(), len(in))
 	}
-	out := Collect(NewReader(&buf), 0)
+	out := collectBlocks(NewReader(&buf))
+	if len(out) != len(in) {
+		t.Fatalf("read %d accesses, want %d", len(out), len(in))
+	}
 	for i := range in {
 		if out[i] != in[i] {
 			t.Fatalf("access %d = %+v, want %+v", i, out[i], in[i])
@@ -198,18 +166,12 @@ func TestV2WriteBlockFastPath(t *testing.T) {
 
 func TestV2Truncated(t *testing.T) {
 	in := randomAccesses(18, 100)
-	full := writeTrace(t, in, traceV2)
+	full := writeTrace(t, in)
 	for _, cut := range []int{1, 5, len(full) / 2, len(full) - 1} {
 		r := NewReader(bytes.NewReader(full[:len(full)-cut]))
-		Collect(r, 0)
+		collectBlocks(r)
 		if !errors.Is(r.Err(), ErrBadTrace) {
 			t.Fatalf("cut %d: err = %v, want ErrBadTrace", cut, r.Err())
 		}
-	}
-}
-
-func TestNewWriterVersionRejectsUnknown(t *testing.T) {
-	if _, err := NewWriterVersion(&bytes.Buffer{}, 3); err == nil {
-		t.Fatal("version 3 accepted")
 	}
 }
