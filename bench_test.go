@@ -33,6 +33,16 @@ func benchParams() figures.Params {
 	return p
 }
 
+// benchFigure computes one figure at the benchmark scale.
+func benchFigure(b *testing.B, fig string) figures.Report {
+	b.Helper()
+	rep, err := figures.Compute(benchParams(), fig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rep
+}
+
 // BenchmarkTable1Config exercises configuration validation and the §4.3
 // storage arithmetic.
 func BenchmarkTable1Config(b *testing.B) {
@@ -53,7 +63,7 @@ func BenchmarkTable1Config(b *testing.B) {
 func BenchmarkFig6JointCoverage(b *testing.B) {
 	var joint float64
 	for i := 0; i < b.N; i++ {
-		rows := figures.Figure6(benchParams())
+		rows := benchFigure(b, "6").Fig6
 		joint = 0
 		for _, r := range rows {
 			joint += r.Result.JointCoverage()
@@ -68,7 +78,7 @@ func BenchmarkFig6JointCoverage(b *testing.B) {
 func BenchmarkFig7Sequitur(b *testing.B) {
 	var opp float64
 	for i := 0; i < b.N; i++ {
-		rows := figures.Figure7(benchParams())
+		rows := benchFigure(b, "7").Fig7
 		opp = 0
 		for _, r := range rows {
 			opp += r.Rep.Triggers.OpportunityFrac()
@@ -84,7 +94,7 @@ func BenchmarkFig7Sequitur(b *testing.B) {
 func BenchmarkFig8CorrDist(b *testing.B) {
 	var w2 float64
 	for i := 0; i < b.N; i++ {
-		rows := figures.Figure8(benchParams())
+		rows := benchFigure(b, "8").Fig8
 		w2 = 0
 		for _, r := range rows {
 			w2 += r.CD.WithinWindow(2)
@@ -99,7 +109,7 @@ func BenchmarkFig8CorrDist(b *testing.B) {
 func BenchmarkFig9Coverage(b *testing.B) {
 	var cov, over float64
 	for i := 0; i < b.N; i++ {
-		rows := figures.Figure9(benchParams())
+		rows := benchFigure(b, "9").Fig9
 		cov, over = 0, 0
 		for _, r := range rows {
 			for _, c := range r.Cells {
@@ -121,7 +131,7 @@ func BenchmarkFig9Coverage(b *testing.B) {
 func BenchmarkFig10Speedup(b *testing.B) {
 	var sp float64
 	for i := 0; i < b.N; i++ {
-		rows := figures.Figure10(benchParams())
+		rows := benchFigure(b, "10").Fig10
 		sp = 0
 		for _, r := range rows {
 			sp += r.Speedup[sim.KindSTeMS].Mean()
@@ -137,7 +147,7 @@ func BenchmarkFig10Speedup(b *testing.B) {
 func BenchmarkHybridOverprediction(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		rows := figures.HybridAblation(benchParams())
+		rows := benchFigure(b, "hybrid").Hybrid
 		ratio = 0
 		for _, r := range rows {
 			ratio += r.Ratio()

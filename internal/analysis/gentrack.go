@@ -1,8 +1,10 @@
 // Package analysis implements the paper's trace-analysis studies: the
 // joint TMS/SMS coverage classification of Figure 6, the Sequitur-based
 // temporal-repetition taxonomy of Figure 7, and the intra-generation
-// correlation-distance study of Figure 8. All three operate on the baseline
-// off-chip read-miss stream produced by sim.CollectMissStreamBlocks.
+// correlation-distance study of Figure 8. Each study is one function
+// (Joint, Repetitions, CorrDistances) that replays a block stream through
+// a baseline machine, without prefetching, and observes its off-chip read
+// misses and L1 evictions.
 package analysis
 
 import (

@@ -185,33 +185,12 @@ func (o *jointObserver) OnOffChipEvent(a trace.Access, covered bool) {
 	}
 }
 
-// JointCollector exposes the Figure 6 classification as a panel machine:
-// the observer machine it wraps replays the workload's trace next to the
-// predictor machines (figures.FusedPanels), so the joint analysis shares
-// their resident trace instead of resolving its own.
-type JointCollector struct {
-	obs *jointObserver
-	m   *sim.Machine
-}
-
-// NewJointCollector builds the observer machine for one workload pass.
-func NewJointCollector(sys config.System, smsCfg config.SMS) *JointCollector {
+// Joint runs the Figure 6 classification over one block-trace stream.
+func Joint(sys config.System, smsCfg config.SMS, bs trace.BlockSource) JointResult {
 	obs := &jointObserver{
 		spatial:  sms.New(smsCfg, nil),
 		temporal: newTMSOracle(8, 8),
 	}
-	return &JointCollector{obs: obs, m: sim.NewMachine(sys, obs)}
-}
-
-// Machine returns the observer machine to replay.
-func (c *JointCollector) Machine() *sim.Machine { return c.m }
-
-// Result reads the classification; call it after the replay finishes.
-func (c *JointCollector) Result() JointResult { return c.obs.res }
-
-// Joint runs the Figure 6 classification over one block-trace stream.
-func Joint(sys config.System, smsCfg config.SMS, bs trace.BlockSource) JointResult {
-	c := NewJointCollector(sys, smsCfg)
-	c.m.RunBlocks(bs)
-	return c.Result()
+	sim.NewMachine(sys, obs).RunBlocks(bs)
+	return obs.res
 }

@@ -130,40 +130,16 @@ func (o *repetitionObserver) OnOffChipEvent(a trace.Access, covered bool) {
 	}
 }
 
-// RepetitionCollector exposes the Figure 7 study as a panel machine
-// (see JointCollector): the observer machine replays the workload's
-// trace, and Result builds the grammar taxonomy afterwards.
-type RepetitionCollector struct {
-	obs *repetitionObserver
-	m   *sim.Machine
-}
-
-// NewRepetitionCollector builds the observer machine for one workload pass.
-func NewRepetitionCollector(sys config.System) *RepetitionCollector {
-	obs := &repetitionObserver{tracker: NewGenTracker()}
-	return &RepetitionCollector{obs: obs, m: sim.NewMachine(sys, obs)}
-}
-
-// Machine returns the observer machine to replay.
-func (c *RepetitionCollector) Machine() *sim.Machine { return c.m }
-
-// Result classifies the collected sequences. Call it after the replay
-// finishes; each call re-runs Sequitur over the full sequences, so read
-// it once.
-func (c *RepetitionCollector) Result() Repetition {
-	rep := Repetition{
-		AllAddrs: Categorize(c.obs.all),
-		Triggers: Categorize(c.obs.triggers),
-	}
-	if len(c.obs.all) > 0 {
-		rep.TriggerFrac = float64(len(c.obs.triggers)) / float64(len(c.obs.all))
-	}
-	return rep
-}
-
 // Repetitions runs the Figure 7 analysis over one block-trace stream.
 func Repetitions(sys config.System, bs trace.BlockSource) Repetition {
-	c := NewRepetitionCollector(sys)
-	c.m.RunBlocks(bs)
-	return c.Result()
+	obs := &repetitionObserver{tracker: NewGenTracker()}
+	sim.NewMachine(sys, obs).RunBlocks(bs)
+	rep := Repetition{
+		AllAddrs: Categorize(obs.all),
+		Triggers: Categorize(obs.triggers),
+	}
+	if len(obs.all) > 0 {
+		rep.TriggerFrac = float64(len(obs.triggers)) / float64(len(obs.all))
+	}
+	return rep
 }

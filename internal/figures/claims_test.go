@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"fmt"
 	"testing"
 
 	"stems/internal/sim"
@@ -8,34 +9,43 @@ import (
 )
 
 // TestPaperClaims encodes the paper's comparative claims as assertions over
-// the real workload suite at moderate scale. These are the reproduction's
-// acceptance tests: if a refactor breaks one of the paper's orderings, this
-// test names the claim that regressed.
+// the real workload suite at moderate scale, at three seeds of Figure 10's
+// progression. These are the reproduction's acceptance tests: if a refactor
+// breaks one of the paper's orderings, this test names the claim and the
+// seed that regressed. Its runs are Figure 9's TMS, SMS and STeMS runs.
 func TestPaperClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("claims run at moderate scale; skipped in -short mode")
 	}
-	p := DefaultParams()
-	p.Accesses = 250_000
-	p.Parallel = true
+	for _, seed := range []int64{1, 1 + workload.SeedStride, 1 + 2*workload.SeedStride} {
+		p := DefaultParams()
+		p.Seed = seed
+		p.Accesses = 250_000
+		rep, err := Compute(p, "9")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { checkClaims(t, rep.Fig9) })
+	}
+}
 
+// checkClaims asserts the paper's orderings over one seed's Figure 9 rows.
+func checkClaims(t *testing.T, rows []Fig9Row) {
 	type cell struct{ tms, sms, stems sim.Result }
 	results := map[string]cell{}
-	rows := forEachWorkload(p, func(spec workload.Spec) struct {
-		name string
-		c    cell
-	} {
-		return struct {
-			name string
-			c    cell
-		}{spec.Name, cell{
-			tms:   runOne(p, spec, sim.KindTMS, p.Seed),
-			sms:   runOne(p, spec, sim.KindSMS, p.Seed),
-			stems: runOne(p, spec, sim.KindSTeMS, p.Seed),
-		}}
-	})
 	for _, r := range rows {
-		results[r.name] = r.c
+		var c cell
+		for _, fc := range r.Cells {
+			switch fc.Kind {
+			case sim.KindTMS:
+				c.tms = fc.Result
+			case sim.KindSMS:
+				c.sms = fc.Result
+			case sim.KindSTeMS:
+				c.stems = fc.Result
+			}
+		}
+		results[r.Workload] = c
 	}
 
 	// §5.2/§2.2: "TMS is mostly ineffective for DSS workloads, which are

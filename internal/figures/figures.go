@@ -3,16 +3,26 @@
 // parameters and predictor storage), Figure 6 (joint coverage), Figure 7
 // (Sequitur repetition), Figure 8 (correlation distance), Figure 9
 // (coverage/overprediction), Figure 10 (speedup over the stride baseline),
-// and the §5.5 naive-hybrid overprediction comparison. Both cmd/paperfigs
-// and the repository-level benchmarks drive this package.
+// the §5.5 naive-hybrid overprediction comparison, and the workload
+// characterization table. Compute produces any set of them; both
+// cmd/paperfigs and the repository-level benchmarks drive it.
+//
+// Compute works in two passes. The trace studies (Figures 6-8 and the
+// workload table) replay observer machines over each workload's base-seed
+// trace; they are analyses, not predictors. Every predictor run the
+// requested figures read is then one stems.Runner in a single stems.Sweep,
+// one Runner per distinct (workload, predictor, seed), so a run two
+// figures share replays once.
 package figures
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
+	"stems"
 	"stems/internal/analysis"
 	"stems/internal/config"
 	"stems/internal/par"
@@ -20,38 +30,34 @@ import (
 	"stems/internal/stats"
 	"stems/internal/trace"
 	"stems/internal/workload"
-
-	// The figure harness builds every predictor kind by name.
-	_ "stems/internal/predictors"
 )
 
 // Params controls experiment scale.
 type Params struct {
-	// Seed is the base workload seed.
+	// Seed is the base workload seed (at least 1).
 	Seed int64
 	// Accesses overrides each workload's default trace length (0 = default).
 	Accesses int
-	// Seeds is the number of independent runs for Figure 10's confidence
-	// intervals.
+	// Seeds is the number of independent runs (at least 1) behind Figure
+	// 10's confidence intervals: seeds Seed, Seed+SeedStride, and so on.
 	Seeds int
 	// System is the simulated node; the zero value selects the scaled
 	// experiment configuration (see config.ScaledSystem).
 	System config.System
-	// Parallel enables running workloads on separate goroutines.
-	Parallel bool
-	// Parallelism bounds the worker goroutines when Parallel is set
-	// (0 = GOMAXPROCS).
+	// Parallelism bounds the worker goroutines of both passes
+	// (0 = GOMAXPROCS, 1 = serial). Results do not depend on it.
 	Parallelism int
-	// Arena caches generated traces so every figure cell sharing a
-	// (workload, seed, length) replays one slice instead of regenerating
-	// it — pass the same arena to several figures and the whole run
-	// generates each trace once. A nil arena regenerates per cell.
+	// Arena caches generated traces, so every run of a (workload, seed,
+	// length) replays one resident trace, generated once. Base-seed traces
+	// stay resident for later calls; Figure 10's extra seeds leave the
+	// arena as soon as the last run replaying each one lands. A nil arena
+	// regenerates the trace for every run.
 	Arena *trace.Arena
 }
 
 // DefaultParams returns the scale used for EXPERIMENTS.md.
 func DefaultParams() Params {
-	return Params{Seed: 1, Seeds: 5, System: config.ScaledSystem(), Parallel: true, Arena: trace.NewArena()}
+	return Params{Seed: 1, Seeds: 5, System: config.ScaledSystem(), Arena: trace.NewArena()}
 }
 
 func (p Params) system() config.System {
@@ -61,64 +67,279 @@ func (p Params) system() config.System {
 	return p.System
 }
 
-// accessesFor returns the trace length used for spec.
-func (p Params) accessesFor(spec workload.Spec) int {
+// traceKey names spec's trace at seed: its arena key.
+func (p Params) traceKey(spec workload.Spec, seed int64) trace.ArenaKey {
+	n := spec.DefaultAccesses
 	if p.Accesses > 0 {
-		return p.Accesses
+		n = p.Accesses
 	}
-	return spec.DefaultAccesses
+	return trace.ArenaKey{Name: spec.Name, Seed: seed, N: n}
 }
 
-// traceAt returns spec's columnar trace for an explicit seed, through the
-// arena when one is configured.
-func (p Params) traceAt(spec workload.Spec, seed int64) *trace.BlockTrace {
-	n := p.accessesFor(spec)
-	if p.Arena != nil {
-		return p.Arena.Get(spec.Name, seed, n, func() []trace.Access {
-			return spec.Generate(seed, n)
-		})
+// baseTrace returns spec's base-seed trace, through the arena when one is
+// configured; the predictor runs of the same trace find it there.
+func (p Params) baseTrace(spec workload.Spec) *trace.BlockTrace {
+	k := p.traceKey(spec, p.Seed)
+	if p.Arena == nil {
+		return spec.GenerateBlocks(k.Seed, k.N)
 	}
-	return spec.GenerateBlocks(seed, n)
+	return p.Arena.Get(k.Name, k.Seed, k.N, func() []trace.Access {
+		return spec.Generate(k.Seed, k.N)
+	})
 }
 
-func (p Params) traceFor(spec workload.Spec) *trace.BlockTrace {
-	return p.traceAt(spec, p.Seed)
-}
-
-// laneParallelism is the worker bound for a per-workload panel: when
-// workloads already fan out across goroutines each panel replays
-// serially; a standalone (non-parallel) figure lets the panel use the
-// whole machine instead.
-func (p Params) laneParallelism() int {
-	if p.Parallel {
-		return 1
+// seeds returns Figure 10's seed progression.
+func (p Params) seeds() []int64 {
+	out := make([]int64, p.Seeds)
+	for s := range out {
+		out[s] = p.Seed + int64(s)*workload.SeedStride
 	}
-	return 0
-}
-
-// replayPanel replays every machine of one workload's panel over its own
-// cursor on bt, up to laneParallelism at a time, and returns the results
-// in machine order. Machines share nothing but the read-only trace, so
-// any schedule produces the same results.
-func (p Params) replayPanel(bt *trace.BlockTrace, machines []*sim.Machine) []sim.Result {
-	results, _ := par.Map(context.Background(), len(machines), p.laneParallelism(),
-		func(_ context.Context, i int) (sim.Result, error) {
-			return machines[i].RunBlocks(bt.Blocks()), nil
-		})
-	return results
-}
-
-// forEachWorkload runs fn over the suite, optionally in parallel,
-// preserving suite order in the output.
-func forEachWorkload[T any](p Params, fn func(spec workload.Spec) T) []T {
-	specs := workload.Suite()
-	workers := 1
-	if p.Parallel {
-		workers = p.Parallelism // 0 = GOMAXPROCS
-	}
-	out, _ := par.Map(context.Background(), len(specs), workers,
-		func(_ context.Context, i int) (T, error) { return fn(specs[i]), nil })
 	return out
+}
+
+// Figures names the tables and figures Compute accepts, in the order
+// Report.Render prints them.
+var Figures = []string{"table1", "6", "7", "8", "9", "10", "hybrid", "workloads"}
+
+// Report holds the rows of the figures one Compute call produced; a
+// figure it was not asked for stays nil.
+type Report struct {
+	Fig6      []Fig6Row
+	Fig7      []Fig7Row
+	Fig8      []Fig8Row
+	Fig9      []Fig9Row
+	Fig10     []Fig10Row
+	Hybrid    []HybridRow
+	Workloads []WorkloadRow
+
+	want map[string]bool // the names Compute was asked for
+}
+
+// Compute produces the named figures (see Figures). It rejects invalid
+// parameters and unknown names before it simulates anything; the runs of
+// valid parameters cannot fail.
+func Compute(p Params, figs ...string) (Report, error) {
+	rep := Report{want: make(map[string]bool, len(figs))}
+	switch {
+	case p.Seed < 1:
+		return Report{}, fmt.Errorf("invalid seed %d: workload seeds are positive", p.Seed)
+	case p.Seeds < 1:
+		return Report{}, fmt.Errorf("invalid seed count %d: need at least 1", p.Seeds)
+	case p.Accesses < 0:
+		return Report{}, fmt.Errorf("invalid access count %d: must be positive, or 0 for each workload's default length", p.Accesses)
+	case p.Parallelism < 0:
+		return Report{}, fmt.Errorf("invalid parallelism %d: must be positive, or 0 for GOMAXPROCS", p.Parallelism)
+	}
+	for _, f := range figs {
+		if !slices.Contains(Figures, f) {
+			return Report{}, fmt.Errorf("unknown figure %q (want %s)", f, strings.Join(Figures, ", "))
+		}
+		rep.want[f] = true
+	}
+	p.study(&rep)
+	results, err := p.runPredictors(rep.want)
+	if err != nil {
+		return Report{}, err
+	}
+	for _, spec := range workload.Suite() {
+		base := p.traceKey(spec, p.Seed)
+		if rep.want["9"] {
+			row := Fig9Row{Workload: spec.Name}
+			for _, kind := range Fig9Kinds {
+				res := results[figRun{base, kind}]
+				row.Cells = append(row.Cells, Fig9Cell{
+					Kind:     kind,
+					Coverage: res.Coverage(),
+					Overpred: res.OverpredictionRate(),
+					Result:   res,
+				})
+			}
+			rep.Fig9 = append(rep.Fig9, row)
+		}
+		if rep.want["10"] {
+			row := Fig10Row{Workload: spec.Name, Speedup: map[sim.Kind]*stats.Sample{}}
+			for _, kind := range Fig10Kinds {
+				row.Speedup[kind] = &stats.Sample{}
+			}
+			for _, seed := range p.seeds() {
+				k := p.traceKey(spec, seed)
+				stride := results[figRun{k, sim.KindStride}]
+				for _, kind := range Fig10Kinds {
+					row.Speedup[kind].Add(float64(stride.Cycles)/float64(results[figRun{k, kind}].Cycles) - 1)
+				}
+			}
+			rep.Fig10 = append(rep.Fig10, row)
+		}
+		if rep.want["hybrid"] && commercial(spec) {
+			naive, st := results[figRun{base, sim.KindNaiveHybrid}], results[figRun{base, sim.KindSTeMS}]
+			rep.Hybrid = append(rep.Hybrid, HybridRow{
+				Workload:      spec.Name,
+				NaiveOverpred: naive.OverpredictionRate(),
+				STeMSOverpred: st.OverpredictionRate(),
+				NaiveCoverage: naive.Coverage(),
+				STeMSCoverage: st.Coverage(),
+			})
+		}
+	}
+	return rep, nil
+}
+
+// study runs the requested trace studies (Figures 6-8 and the workload
+// table), one workload at a time per worker, over the base-seed traces.
+func (p Params) study(rep *Report) {
+	specs := workload.Suite()
+	if rep.want["6"] {
+		rep.Fig6 = make([]Fig6Row, len(specs))
+	}
+	if rep.want["7"] {
+		rep.Fig7 = make([]Fig7Row, len(specs))
+	}
+	if rep.want["8"] {
+		rep.Fig8 = make([]Fig8Row, len(specs))
+	}
+	if rep.want["workloads"] {
+		rep.Workloads = make([]WorkloadRow, len(specs))
+	}
+	if rep.Fig6 == nil && rep.Fig7 == nil && rep.Fig8 == nil && rep.Workloads == nil {
+		return
+	}
+	sys := p.system()
+	par.Map(context.Background(), len(specs), p.Parallelism, func(_ context.Context, i int) (struct{}, error) {
+		spec := specs[i]
+		bt := p.baseTrace(spec)
+		if rep.Fig6 != nil {
+			rep.Fig6[i] = Fig6Row{Workload: spec.Name, Class: spec.Class,
+				Result: analysis.Joint(sys, config.DefaultSMS(), bt.Blocks())}
+		}
+		if rep.Fig7 != nil {
+			rep.Fig7[i] = Fig7Row{Workload: spec.Name, Rep: analysis.Repetitions(sys, bt.Blocks())}
+		}
+		if rep.Fig8 != nil {
+			rep.Fig8[i] = Fig8Row{Workload: spec.Name, CD: analysis.CorrDistances(sys, bt.Blocks())}
+		}
+		if rep.Workloads != nil {
+			rep.Workloads[i] = characterize(sys, spec, bt)
+		}
+		return struct{}{}, nil
+	})
+}
+
+// figRun is one predictor run a figure reads: a kind replaying one
+// workload trace.
+type figRun struct {
+	trace.ArenaKey
+	kind sim.Kind
+}
+
+// commercial reports whether spec is one of the OLTP and web workloads the
+// §5.5 ablation compares on (the paper quotes their ratio).
+func commercial(spec workload.Spec) bool {
+	return spec.Class == workload.ClassWeb || spec.Class == workload.ClassOLTP
+}
+
+// runPredictors executes every predictor run the requested figures read
+// (Figure 9's panel, Figure 10's stride baseline and panel at every seed,
+// the ablation's naive hybrid and STeMS) as one Sweep with one Runner per
+// distinct run, and returns the results by run. Runs are ordered by trace,
+// so the workers share one extra-seed trace at a time, and each extra-seed
+// trace is dropped from the arena as soon as its last run lands.
+func (p Params) runPredictors(want map[string]bool) (map[figRun]sim.Result, error) {
+	var runs []figRun
+	seen := map[figRun]bool{}
+	need := func(k trace.ArenaKey, kinds ...sim.Kind) {
+		for _, kind := range kinds {
+			if r := (figRun{k, kind}); !seen[r] {
+				seen[r] = true
+				runs = append(runs, r)
+			}
+		}
+	}
+	for _, spec := range workload.Suite() {
+		base := p.traceKey(spec, p.Seed)
+		if want["9"] {
+			need(base, Fig9Kinds...)
+		}
+		if want["10"] {
+			for _, seed := range p.seeds() {
+				k := p.traceKey(spec, seed)
+				need(k, sim.KindStride)
+				need(k, Fig10Kinds...)
+			}
+		}
+		if want["hybrid"] && commercial(spec) {
+			need(base, sim.KindNaiveHybrid, sim.KindSTeMS)
+		}
+	}
+
+	grid := make([]*stems.Runner, len(runs))
+	pending := map[trace.ArenaKey]int{} // runs left on each extra-seed trace
+	for i, r := range runs {
+		var err error
+		grid[i], err = stems.New(
+			stems.WithWorkload(r.Name),
+			stems.WithPredictor(string(r.kind)),
+			stems.WithSeed(r.Seed),
+			stems.WithAccesses(r.N),
+			stems.WithSystem(p.system()),
+			stems.WithSharedTrace(p.Arena),
+		)
+		if err != nil {
+			return nil, err
+		}
+		if r.Seed != p.Seed {
+			pending[r.ArenaKey]++
+		}
+	}
+	results, err := stems.Sweep(context.Background(), grid,
+		stems.WithParallelism(p.Parallelism),
+		stems.WithRunResult(func(i int, _ stems.Result) {
+			k := runs[i].ArenaKey
+			if k.Seed == p.Seed || p.Arena == nil {
+				return
+			}
+			if pending[k]--; pending[k] == 0 {
+				p.Arena.Drop(k.Name, k.Seed, k.N)
+			}
+		}))
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[figRun]sim.Result, len(runs))
+	for i, r := range runs {
+		out[r] = results[i]
+	}
+	return out, nil
+}
+
+// Render formats every figure the report was computed for, each followed
+// by a blank line, in Figures order: the bytes cmd/paperfigs prints.
+func (r Report) Render() string {
+	var b strings.Builder
+	for _, f := range Figures {
+		if !r.want[f] {
+			continue
+		}
+		switch f {
+		case "table1":
+			b.WriteString(RenderTable1())
+		case "6":
+			b.WriteString(RenderFigure6(r.Fig6))
+		case "7":
+			b.WriteString(RenderFigure7(r.Fig7))
+		case "8":
+			b.WriteString(RenderFigure8(r.Fig8))
+		case "9":
+			b.WriteString(RenderFigure9(r.Fig9))
+		case "10":
+			b.WriteString(RenderFigure10(r.Fig10))
+		case "hybrid":
+			b.WriteString(RenderHybrid(r.Hybrid))
+		case "workloads":
+			b.WriteString(RenderWorkloads(r.Workloads))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // ---- Figure 6 ----
@@ -128,17 +349,6 @@ type Fig6Row struct {
 	Workload string
 	Class    workload.Class
 	Result   analysis.JointResult
-}
-
-// Figure6 classifies every baseline off-chip read miss per workload.
-func Figure6(p Params) []Fig6Row {
-	return forEachWorkload(p, func(spec workload.Spec) Fig6Row {
-		return Fig6Row{
-			Workload: spec.Name,
-			Class:    spec.Class,
-			Result:   analysis.Joint(p.system(), config.DefaultSMS(), p.traceFor(spec).Blocks()),
-		}
-	})
 }
 
 // RenderFigure6 formats the rows as the paper's stacked-bar data.
@@ -177,13 +387,6 @@ type Fig7Row struct {
 	Rep      analysis.Repetition
 }
 
-// Figure7 runs the Sequitur study per workload.
-func Figure7(p Params) []Fig7Row {
-	return forEachWorkload(p, func(spec workload.Spec) Fig7Row {
-		return Fig7Row{Workload: spec.Name, Rep: analysis.Repetitions(p.system(), p.traceFor(spec).Blocks())}
-	})
-}
-
 // RenderFigure7 formats the taxonomy for all-misses and triggers.
 func RenderFigure7(rows []Fig7Row) string {
 	var b strings.Builder
@@ -217,13 +420,6 @@ func RenderFigure7(rows []Fig7Row) string {
 type Fig8Row struct {
 	Workload string
 	CD       *analysis.CorrDist
-}
-
-// Figure8 runs the intra-generation reordering study per workload.
-func Figure8(p Params) []Fig8Row {
-	return forEachWorkload(p, func(spec workload.Spec) Fig8Row {
-		return Fig8Row{Workload: spec.Name, CD: analysis.CorrDistances(p.system(), p.traceFor(spec).Blocks())}
-	})
 }
 
 // RenderFigure8 formats the cumulative distribution over distances -6..6.
@@ -278,51 +474,6 @@ type Fig9Row struct {
 	Cells    []Fig9Cell
 }
 
-// buildFigMachine constructs one figure cell's machine: the paper's
-// default predictor sizings on this run's system, with the workload-class
-// lookahead.
-func buildFigMachine(p Params, spec workload.Spec, kind sim.Kind) *sim.Machine {
-	opt := sim.DefaultOptions()
-	opt.System = p.system()
-	opt.Scientific = spec.Scientific
-	m, err := sim.Build(kind, opt)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// runOne simulates one workload under one predictor. The trace comes from
-// the shared arena, so the predictor kinds (and Figure 10's baseline)
-// replay one generation of each (workload, seed) trace, block by block
-// through the batched kernel.
-func runOne(p Params, spec workload.Spec, kind sim.Kind, seed int64) sim.Result {
-	return buildFigMachine(p, spec, kind).RunBlocks(p.traceAt(spec, seed).Blocks())
-}
-
-// Figure9 measures covered/uncovered/overpredicted per workload and
-// predictor. Each workload's kind panel replays one resident trace.
-func Figure9(p Params) []Fig9Row {
-	return forEachWorkload(p, func(spec workload.Spec) Fig9Row {
-		machines := make([]*sim.Machine, len(Fig9Kinds))
-		for i, kind := range Fig9Kinds {
-			machines[i] = buildFigMachine(p, spec, kind)
-		}
-		results := p.replayPanel(p.traceFor(spec), machines)
-		row := Fig9Row{Workload: spec.Name}
-		for i, kind := range Fig9Kinds {
-			res := results[i]
-			row.Cells = append(row.Cells, Fig9Cell{
-				Kind:     kind,
-				Coverage: res.Coverage(),
-				Overpred: res.OverpredictionRate(),
-				Result:   res,
-			})
-		}
-		return row
-	})
-}
-
 // RenderFigure9 formats the comparison.
 func RenderFigure9(rows []Fig9Row) string {
 	var b strings.Builder
@@ -364,54 +515,14 @@ func RenderFigure9(rows []Fig9Row) string {
 // Fig10Kinds are the predictors compared against the stride baseline.
 var Fig10Kinds = []sim.Kind{sim.KindTMS, sim.KindSMS, sim.KindSTeMS}
 
-// Fig10Row is one workload's speedups with confidence intervals.
+// Fig10Row is one workload's speedups over the stride-prefetching
+// baseline, with confidence intervals across seeds (the stand-in for the
+// paper's SimFlex sampling).
 type Fig10Row struct {
 	Workload string
 	// Speedup maps predictor -> sample of (cycles_baseline/cycles - 1)
 	// over the seeds.
 	Speedup map[sim.Kind]*stats.Sample
-}
-
-// Figure10 measures performance improvement over the stride-prefetching
-// baseline across seeds (the stand-in for the paper's SimFlex sampling).
-//
-// Each seed's panel — the stride baseline plus every compared kind —
-// replays one generation of the seed's trace. Extra confidence-interval
-// seeds never enter the arena at all: their trace lives exactly as long
-// as their panel replays, which keeps peak memory near one trace per
-// worker.
-func Figure10(p Params) []Fig10Row {
-	seeds := p.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	return forEachWorkload(p, func(spec workload.Spec) Fig10Row {
-		row := Fig10Row{Workload: spec.Name, Speedup: map[sim.Kind]*stats.Sample{}}
-		for _, kind := range Fig10Kinds {
-			row.Speedup[kind] = &stats.Sample{}
-		}
-		for s := 0; s < seeds; s++ {
-			seed := p.Seed + int64(s)*workload.SeedStride
-			var bt *trace.BlockTrace
-			if seed == p.Seed {
-				// The base seed is shared with every other figure through
-				// the arena.
-				bt = p.traceAt(spec, seed)
-			} else {
-				bt = spec.GenerateBlocks(seed, p.accessesFor(spec))
-			}
-			machines := make([]*sim.Machine, 0, 1+len(Fig10Kinds))
-			for _, kind := range append([]sim.Kind{sim.KindStride}, Fig10Kinds...) {
-				machines = append(machines, buildFigMachine(p, spec, kind))
-			}
-			results := p.replayPanel(bt, machines)
-			base := results[0]
-			for i, kind := range Fig10Kinds {
-				row.Speedup[kind].Add(float64(base.Cycles)/float64(results[i+1].Cycles) - 1)
-			}
-		}
-		return row
-	})
 }
 
 // RenderFigure10 formats speedups with 95% confidence intervals.
@@ -465,34 +576,6 @@ func (h HybridRow) Ratio() float64 {
 	return h.NaiveOverpred / h.STeMSOverpred
 }
 
-// HybridAblation runs the §5.5 comparison on the commercial workloads
-// (the paper quotes the OLTP/web ratio), replaying both machines over one
-// resident trace per workload.
-func HybridAblation(p Params) []HybridRow {
-	var rows []HybridRow
-	for _, spec := range workload.Suite() {
-		if spec.Class != workload.ClassWeb && spec.Class != workload.ClassOLTP {
-			continue
-		}
-		results := p.replayPanel(p.traceFor(spec), []*sim.Machine{
-			buildFigMachine(p, spec, sim.KindNaiveHybrid),
-			buildFigMachine(p, spec, sim.KindSTeMS),
-		})
-		rows = append(rows, hybridRow(spec, results[0], results[1]))
-	}
-	return rows
-}
-
-func hybridRow(spec workload.Spec, naive, st sim.Result) HybridRow {
-	return HybridRow{
-		Workload:      spec.Name,
-		NaiveOverpred: naive.OverpredictionRate(),
-		STeMSOverpred: st.OverpredictionRate(),
-		NaiveCoverage: naive.Coverage(),
-		STeMSCoverage: st.Coverage(),
-	}
-}
-
 // RenderHybrid formats the §5.5 comparison.
 func RenderHybrid(rows []HybridRow) string {
 	var b strings.Builder
@@ -509,99 +592,6 @@ func RenderHybrid(rows []HybridRow) string {
 			sum/float64(len(rows)))
 	}
 	return b.String()
-}
-
-// ---- Fused panels ----
-
-// Panels bundles every figure that replays the base-seed trace: the three
-// analysis studies (Figures 6-8), the Figure 9 predictor panel, and the
-// §5.5 hybrid ablation.
-type Panels struct {
-	Fig6   []Fig6Row
-	Fig7   []Fig7Row
-	Fig8   []Fig8Row
-	Fig9   []Fig9Row
-	Hybrid []HybridRow
-}
-
-// FusedPanels computes all of Panels in one call: per workload, the three
-// analysis observers, the Figure 9 predictor kinds, and (on commercial
-// workloads) the naive hybrid replay the workload's trace as one panel,
-// so the trace is resolved once for every figure that reads it. Results
-// are byte-identical to the individual figure functions — observer
-// machines and predictor machines share no mutable state — and the
-// figures test suite pins the equivalence. The hybrid rows reuse the
-// Figure 9 STeMS result (the two figures build identically configured
-// machines).
-func FusedPanels(p Params) Panels {
-	type row struct {
-		fig6 Fig6Row
-		fig7 Fig7Row
-		fig8 Fig8Row
-		fig9 Fig9Row
-		hyb  *HybridRow
-	}
-	const analysisMachines = 3
-	stemsAt := -1
-	for i, kind := range Fig9Kinds {
-		if kind == sim.KindSTeMS {
-			stemsAt = analysisMachines + i
-		}
-	}
-	rows := forEachWorkload(p, func(spec workload.Spec) row {
-		sys := p.system()
-		joint := analysis.NewJointCollector(sys, config.DefaultSMS())
-		rep := analysis.NewRepetitionCollector(sys)
-		corr := analysis.NewCorrDistCollector(sys)
-		machines := []*sim.Machine{joint.Machine(), rep.Machine(), corr.Machine()}
-		for _, kind := range Fig9Kinds {
-			machines = append(machines, buildFigMachine(p, spec, kind))
-		}
-		commercial := spec.Class == workload.ClassWeb || spec.Class == workload.ClassOLTP
-		naiveAt, hybridSTeMSAt := -1, stemsAt
-		if commercial {
-			naiveAt = len(machines)
-			machines = append(machines, buildFigMachine(p, spec, sim.KindNaiveHybrid))
-			if hybridSTeMSAt < 0 {
-				// Fig9Kinds without STeMS (someone swapped the panel): give
-				// the ablation its own machine rather than skipping the row.
-				hybridSTeMSAt = len(machines)
-				machines = append(machines, buildFigMachine(p, spec, sim.KindSTeMS))
-			}
-		}
-		results := p.replayPanel(p.traceFor(spec), machines)
-		out := row{
-			fig6: Fig6Row{Workload: spec.Name, Class: spec.Class, Result: joint.Result()},
-			fig7: Fig7Row{Workload: spec.Name, Rep: rep.Result()},
-			fig8: Fig8Row{Workload: spec.Name, CD: corr.Result()},
-			fig9: Fig9Row{Workload: spec.Name},
-		}
-		for i, kind := range Fig9Kinds {
-			res := results[analysisMachines+i]
-			out.fig9.Cells = append(out.fig9.Cells, Fig9Cell{
-				Kind:     kind,
-				Coverage: res.Coverage(),
-				Overpred: res.OverpredictionRate(),
-				Result:   res,
-			})
-		}
-		if commercial {
-			h := hybridRow(spec, results[naiveAt], results[hybridSTeMSAt])
-			out.hyb = &h
-		}
-		return out
-	})
-	var ps Panels
-	for _, r := range rows {
-		ps.Fig6 = append(ps.Fig6, r.fig6)
-		ps.Fig7 = append(ps.Fig7, r.fig7)
-		ps.Fig8 = append(ps.Fig8, r.fig8)
-		ps.Fig9 = append(ps.Fig9, r.fig9)
-		if r.hyb != nil {
-			ps.Hybrid = append(ps.Hybrid, *r.hyb)
-		}
-	}
-	return ps
 }
 
 // ---- Table 1 ----

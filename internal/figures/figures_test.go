@@ -1,10 +1,13 @@
 package figures
 
 import (
+	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"stems/internal/config"
 	"stems/internal/sim"
 	"stems/internal/trace"
 	"stems/internal/workload"
@@ -18,8 +21,18 @@ func tinyParams() Params {
 	return p
 }
 
+// compute runs Compute and fails the test on an error.
+func compute(t *testing.T, p Params, figs ...string) Report {
+	t.Helper()
+	rep, err := Compute(p, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestFigure6Shape(t *testing.T) {
-	rows := Figure6(tinyParams())
+	rows := compute(t, tinyParams(), "6").Fig6
 	if len(rows) != len(workload.Suite()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -49,7 +62,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	rows := Figure7(tinyParams())
+	rows := compute(t, tinyParams(), "7").Fig7
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -67,7 +80,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure8Shape(t *testing.T) {
-	rows := Figure8(tinyParams())
+	rows := compute(t, tinyParams(), "8").Fig8
 	for _, r := range rows {
 		if r.CD.Pairs == 0 {
 			t.Errorf("%s: no pairs", r.Workload)
@@ -83,7 +96,7 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	rows := Figure9(tinyParams())
+	rows := compute(t, tinyParams(), "9").Fig9
 	for _, r := range rows {
 		if len(r.Cells) != 3 {
 			t.Fatalf("%s: %d cells", r.Workload, len(r.Cells))
@@ -104,7 +117,7 @@ func TestFigure9Shape(t *testing.T) {
 
 func TestFigure10Shape(t *testing.T) {
 	p := tinyParams()
-	rows := Figure10(p)
+	rows := compute(t, p, "10").Fig10
 	for _, r := range rows {
 		for _, k := range Fig10Kinds {
 			s, ok := r.Speedup[k]
@@ -119,7 +132,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestHybridAblationShape(t *testing.T) {
-	rows := HybridAblation(tinyParams())
+	rows := compute(t, tinyParams(), "hybrid").Hybrid
 	if len(rows) != 4 { // Apache, Zeus, DB2, Oracle
 		t.Fatalf("rows = %d, want the 4 OLTP/web workloads", len(rows))
 	}
@@ -134,30 +147,52 @@ func TestHybridAblationShape(t *testing.T) {
 	}
 }
 
-// TestFusedPanelsMatchIndividualFigures is the cross-figure equivalence
-// gate: one fused pass per workload (analysis observers + predictor
-// panel + hybrid sharing a single cursor) must reproduce every row the
-// standalone figure functions compute, bit for bit, serial and parallel.
-func TestFusedPanelsMatchIndividualFigures(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+// TestRenderMatchesGolden pins every byte cmd/paperfigs prints for
+// `-fig all -accesses 30000 -seeds 2`: Table 1 and every figure, rendered
+// by Report.Render, the code paperfigs prints with. After a deliberate
+// output change, regenerate the file from the repository root with
+//
+//	go run ./cmd/paperfigs -fig all -accesses 30000 -seeds 2 > internal/figures/testdata/all_30000_seeds2.golden
+func TestRenderMatchesGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/all_30000_seeds2.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := compute(t, tinyParams(), Figures...).Render()
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("render differs from the golden at line %d:\n got: %q\nwant: %q", i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("render has %d lines, the golden %d", len(gl), len(wl))
+}
+
+// TestAllFiguresMatchEachAlone is the cross-figure equivalence gate:
+// computing every figure in one call, where runs two figures share replay
+// once, must give each figure exactly the rows it gets computed alone,
+// serially and GOMAXPROCS wide.
+func TestAllFiguresMatchEachAlone(t *testing.T) {
+	for _, parallelism := range []int{1, 0} {
 		p := tinyParams()
 		p.Accesses = 12_000
-		p.Parallel = parallel
-		got := FusedPanels(p)
-		if !reflect.DeepEqual(got.Fig6, Figure6(p)) {
-			t.Errorf("parallel=%v: fused Figure 6 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Fig7, Figure7(p)) {
-			t.Errorf("parallel=%v: fused Figure 7 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Fig8, Figure8(p)) {
-			t.Errorf("parallel=%v: fused Figure 8 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Fig9, Figure9(p)) {
-			t.Errorf("parallel=%v: fused Figure 9 diverged", parallel)
-		}
-		if !reflect.DeepEqual(got.Hybrid, HybridAblation(p)) {
-			t.Errorf("parallel=%v: fused hybrid ablation diverged", parallel)
+		p.Parallelism = parallelism
+		all := reflect.ValueOf(compute(t, p, Figures...))
+		for _, f := range Figures {
+			alone := reflect.ValueOf(compute(t, p, f))
+			for i := 0; i < alone.NumField(); i++ {
+				rows := alone.Field(i)
+				if rows.Kind() != reflect.Slice || rows.IsNil() {
+					continue
+				}
+				if !reflect.DeepEqual(rows.Interface(), all.Field(i).Interface()) {
+					t.Errorf("parallelism=%d: figure %s computed with the others diverged from it alone",
+						parallelism, f)
+				}
+			}
 		}
 	}
 }
@@ -174,28 +209,63 @@ func TestTable1Render(t *testing.T) {
 func TestSerialMatchesParallel(t *testing.T) {
 	p := tinyParams()
 	p.Accesses = 10_000
-	p.Parallel = true
-	par := Figure6(p)
-	p.Parallel = false
-	ser := Figure6(p)
-	for i := range par {
-		if par[i].Result != ser[i].Result {
-			t.Fatalf("%s: parallel and serial disagree", par[i].Workload)
-		}
+	p.Parallelism = 0
+	par := compute(t, p, Figures...)
+	p.Parallelism = 1
+	ser := compute(t, p, Figures...)
+	if !reflect.DeepEqual(par, ser) {
+		t.Fatalf("parallelism 0 (GOMAXPROCS=%d) and 1 disagree", runtime.GOMAXPROCS(0))
 	}
 }
 
-func TestRunOneUsesScientificLookahead(t *testing.T) {
-	p := tinyParams()
-	spec, _ := workload.ByName("em3d")
-	res := runOne(p, spec, sim.KindSTeMS, 1)
-	if res.Accesses == 0 {
-		t.Fatal("no accesses simulated")
+// TestFigureRunUsesScientificLookahead pins what a figure's predictor run
+// is: the registered predictor with sim.DefaultOptions on the run's
+// system, the §4.3 scientific lookahead set by the workload's class,
+// replaying the workload's trace. At 30k and 60k accesses the lookahead
+// does not change em3d's STeMS result; at 120k it does.
+func TestFigureRunUsesScientificLookahead(t *testing.T) {
+	p := DefaultParams()
+	p.Accesses = 120_000
+	rows := compute(t, p, "9").Fig9
+	figureRun := func(name string) sim.Result {
+		for _, r := range rows {
+			for _, c := range r.Cells {
+				if r.Workload == name && c.Kind == sim.KindSTeMS {
+					return c.Result
+				}
+			}
+		}
+		t.Fatalf("no STeMS cell for %s", name)
+		return sim.Result{}
+	}
+	replay := func(name string, scientific bool) sim.Result {
+		spec, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := sim.DefaultOptions()
+		opt.System = config.ScaledSystem()
+		opt.Scientific = scientific
+		m, err := sim.Build(sim.KindSTeMS, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.RunBlocks(spec.GenerateBlocks(p.Seed, p.Accesses).Blocks())
+	}
+	em3d := figureRun("em3d")
+	if want := replay("em3d", true); em3d != want {
+		t.Errorf("em3d STeMS figure run = %+v, want the Scientific replay %+v", em3d, want)
+	}
+	if em3d == replay("em3d", false) {
+		t.Error("em3d STeMS figure run equals the non-scientific replay: the lookahead is not pinned at this length")
+	}
+	if db2, want := figureRun("DB2"), replay("DB2", false); db2 != want {
+		t.Errorf("DB2 STeMS figure run = %+v, want the non-scientific replay %+v", db2, want)
 	}
 }
 
 func TestWorkloadsCharacterization(t *testing.T) {
-	rows := Workloads(tinyParams())
+	rows := compute(t, tinyParams(), "workloads").Workloads
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -225,56 +295,49 @@ func TestWorkloadsCharacterization(t *testing.T) {
 
 // TestFigure10GeneratesEachTraceOnce is the trace-economy acceptance
 // check: a full Figure 10 run — 1 baseline + 3 predictor kinds over every
-// workload and seed — replays each seed's panel over one generation of
-// its trace, so only the base-seed traces (shared with the other
-// figures) ever enter the arena. The extra confidence-interval seeds are
-// generated privately, consumed by their panel, and never become
-// resident anywhere.
+// workload and seed — generates each seed's trace once, through the
+// arena, for the four runs that replay it. The extra confidence-interval
+// seeds leave the arena as their last run lands, so only the base-seed
+// traces (shared with the other figures) stay resident.
 func TestFigure10GeneratesEachTraceOnce(t *testing.T) {
 	p := DefaultParams()
 	p.Accesses = 5_000
 	p.Seeds = 2
-	Figure10(p)
+	compute(t, p, "10")
 	st := p.Arena.Stats()
-	want := len(workload.Suite())
-	if st.Generations != want {
-		t.Fatalf("Figure10 put %d traces through the arena, want exactly %d (base seed only)",
+	suite := len(workload.Suite())
+	if want := suite * p.Seeds; st.Generations != want {
+		t.Fatalf("Figure 10 put %d traces through the arena, want exactly %d (suite x seeds)",
 			st.Generations, want)
 	}
 	if st.Regenerated != 0 {
 		t.Fatalf("%d traces were generated more than once", st.Regenerated)
 	}
-	if st.Resident != want {
-		t.Fatalf("%d traces resident after Figure10, want %d (base seed only)",
-			st.Resident, want)
+	if st.Resident != suite {
+		t.Fatalf("%d traces resident after Figure 10, want %d (base seed only)",
+			st.Resident, suite)
 	}
 }
 
-// TestFullFigureRunSharesBaseTraces drives every trace-consuming figure
+// TestFullFigureRunSharesBaseTraces computes every trace-consuming figure
 // through one shared arena (as cmd/paperfigs does) and asserts the whole
-// run generates each base-seed trace once, with every additional figure a
+// run generates each trace once, with every other run and study over it a
 // pure cache hit.
 func TestFullFigureRunSharesBaseTraces(t *testing.T) {
 	p := DefaultParams()
 	p.Accesses = 5_000
 	p.Seeds = 2
-	Figure6(p)
-	Figure7(p)
-	Figure8(p)
-	Figure9(p)
-	Figure10(p)
-	HybridAblation(p)
-	Workloads(p)
+	compute(t, p, Figures...)
 	st := p.Arena.Stats()
 	suite := len(workload.Suite())
-	// Base seeds only: Figure 10's extra confidence-interval seeds
-	// bypass the arena.
-	want := suite
-	if st.Generations != want {
-		t.Fatalf("full figure run generated %d traces, want %d", st.Generations, want)
+	if want := suite * p.Seeds; st.Generations != want {
+		t.Fatalf("full figure run generated %d traces, want %d (suite x seeds)", st.Generations, want)
 	}
 	if st.Regenerated != 0 {
 		t.Fatalf("%d traces regenerated during a full figure run", st.Regenerated)
+	}
+	if st.Resident != suite {
+		t.Fatalf("%d traces resident after a full figure run, want %d (base seed only)", st.Resident, suite)
 	}
 	if st.Hits == 0 {
 		t.Fatal("no arena hits across a full figure run")
@@ -282,8 +345,8 @@ func TestFullFigureRunSharesBaseTraces(t *testing.T) {
 }
 
 // TestArenaPathMatchesDirectGeneration is the determinism guard for the
-// arena rewiring: every figure must render byte-identically whether traces
-// come from the shared arena or are regenerated per cell.
+// arena: every figure must render byte-identically whether traces come
+// from the shared arena or are regenerated per run.
 func TestArenaPathMatchesDirectGeneration(t *testing.T) {
 	base := DefaultParams()
 	base.Accesses = 5_000
@@ -294,28 +357,18 @@ func TestArenaPathMatchesDirectGeneration(t *testing.T) {
 	direct := base
 	direct.Arena = nil
 
-	for _, tc := range []struct {
-		name   string
-		render func(p Params) string
-	}{
-		{"fig6", func(p Params) string { return RenderFigure6(Figure6(p)) }},
-		{"fig7", func(p Params) string { return RenderFigure7(Figure7(p)) }},
-		{"fig8", func(p Params) string { return RenderFigure8(Figure8(p)) }},
-		{"fig9", func(p Params) string { return RenderFigure9(Figure9(p)) }},
-		{"fig10", func(p Params) string { return RenderFigure10(Figure10(p)) }},
-		{"hybrid", func(p Params) string { return RenderHybrid(HybridAblation(p)) }},
-	} {
-		a := tc.render(withArena)
-		d := tc.render(direct)
+	for _, f := range Figures {
+		a := compute(t, withArena, f).Render()
+		d := compute(t, direct, f).Render()
 		if a != d {
 			t.Errorf("%s: arena output differs from direct generation:\n--- arena ---\n%s\n--- direct ---\n%s",
-				tc.name, a, d)
+				f, a, d)
 		}
 		// And the arena path must be repeatable with a fresh cache.
 		fresh := base
 		fresh.Arena = trace.NewArena()
-		if again := tc.render(fresh); again != a {
-			t.Errorf("%s: arena output not reproducible across arenas", tc.name)
+		if again := compute(t, fresh, f).Render(); again != a {
+			t.Errorf("%s: arena output not reproducible across arenas", f)
 		}
 	}
 }

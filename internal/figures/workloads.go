@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"stems/internal/config"
 	"stems/internal/mem"
 	"stems/internal/sim"
 	"stems/internal/trace"
@@ -27,68 +28,64 @@ type WorkloadRow struct {
 	StallFrac   float64 // off-chip stall share of baseline cycles
 }
 
-// Workloads builds the characterization table.
-func Workloads(p Params) []WorkloadRow {
-	return forEachWorkload(p, func(spec workload.Spec) WorkloadRow {
-		bt := p.traceFor(spec)
-		row := WorkloadRow{Workload: spec.Name, Class: spec.Class, Accesses: uint64(bt.Len())}
-		blocks := make(map[mem.Addr]struct{})
-		var writes uint64
-		var b trace.Block
-		for src := bt.Blocks(); src.NextBlock(&b); {
-			for i := 0; i < b.N; i++ {
-				a := b.At(i)
-				if a.Write {
-					writes++
-				}
-				blocks[a.Addr.Block()] = struct{}{}
+// characterize builds one workload's row from its base-seed trace.
+func characterize(sys config.System, spec workload.Spec, bt *trace.BlockTrace) WorkloadRow {
+	row := WorkloadRow{Workload: spec.Name, Class: spec.Class, Accesses: uint64(bt.Len())}
+	blocks := make(map[mem.Addr]struct{})
+	var writes uint64
+	var b trace.Block
+	for src := bt.Blocks(); src.NextBlock(&b); {
+		for i := 0; i < b.N; i++ {
+			a := b.At(i)
+			if a.Write {
+				writes++
 			}
+			blocks[a.Addr.Block()] = struct{}{}
 		}
-		row.WriteFrac = float64(writes) / float64(bt.Len())
-		row.Footprint = len(blocks)
+	}
+	row.WriteFrac = float64(writes) / float64(bt.Len())
+	row.Footprint = len(blocks)
 
-		// Baseline run for miss and stall characteristics.
-		sys := p.system()
-		m := sim.NewMachine(sys, sim.Nop{})
-		var misses, depMisses, triggers uint64
-		regions := map[mem.Addr]bool{}
-		obs := observerFuncs{
-			onOffChip: func(a trace.Access, covered bool) {
-				if a.Write {
-					return
-				}
-				misses++
-				if a.Dep {
-					depMisses++
-				}
-				if !regions[a.Addr.Region()] {
-					regions[a.Addr.Region()] = true
-					triggers++
-				}
-			},
-		}
-		m.SetPrefetcher(&obs)
-		res := m.RunBlocks(bt.Blocks())
+	// Baseline run for miss and stall characteristics.
+	m := sim.NewMachine(sys, sim.Nop{})
+	var misses, depMisses, triggers uint64
+	regions := map[mem.Addr]bool{}
+	obs := observerFuncs{
+		onOffChip: func(a trace.Access, covered bool) {
+			if a.Write {
+				return
+			}
+			misses++
+			if a.Dep {
+				depMisses++
+			}
+			if !regions[a.Addr.Region()] {
+				regions[a.Addr.Region()] = true
+				triggers++
+			}
+		},
+	}
+	m.SetPrefetcher(&obs)
+	res := m.RunBlocks(bt.Blocks())
 
-		reads := res.Reads
-		if reads > 0 {
-			row.MissRate = float64(misses) / float64(reads)
-		}
-		if misses > 0 {
-			row.DepFrac = float64(depMisses) / float64(misses)
-			row.TriggerFrac = float64(triggers) / float64(misses)
-		}
-		// Stall share: re-run with an idealized memory (all off-chip
-		// latency removed) to isolate the stall component.
-		ideal := sys
-		ideal.OffChipCycles = 1
-		mi := sim.NewMachine(ideal, sim.Nop{})
-		ri := mi.RunBlocks(bt.Blocks())
-		if res.Cycles > 0 {
-			row.StallFrac = 1 - float64(ri.Cycles)/float64(res.Cycles)
-		}
-		return row
-	})
+	reads := res.Reads
+	if reads > 0 {
+		row.MissRate = float64(misses) / float64(reads)
+	}
+	if misses > 0 {
+		row.DepFrac = float64(depMisses) / float64(misses)
+		row.TriggerFrac = float64(triggers) / float64(misses)
+	}
+	// Stall share: re-run with an idealized memory (all off-chip
+	// latency removed) to isolate the stall component.
+	ideal := sys
+	ideal.OffChipCycles = 1
+	mi := sim.NewMachine(ideal, sim.Nop{})
+	ri := mi.RunBlocks(bt.Blocks())
+	if res.Cycles > 0 {
+		row.StallFrac = 1 - float64(ri.Cycles)/float64(res.Cycles)
+	}
+	return row
 }
 
 // observerFuncs adapts closures to sim.Prefetcher.

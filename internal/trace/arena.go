@@ -86,9 +86,9 @@ func (a *Arena) Get(name string, seed int64, n int, generate func() []Access) *B
 }
 
 // Drop releases the trace for (name, seed, n), freeing its memory. The
-// figure harness drops the extra confidence-interval seeds of Figure 10 as
-// soon as their cells complete, keeping peak memory near one trace per
-// worker. Generation counts survive Drop.
+// figure harness drops each extra confidence-interval seed of Figure 10
+// as soon as the last run replaying it lands, so only the base-seed
+// traces stay resident. Generation counts survive Drop.
 func (a *Arena) Drop(name string, seed int64, n int) {
 	a.mu.Lock()
 	delete(a.entries, ArenaKey{Name: name, Seed: seed, N: n})
