@@ -148,12 +148,15 @@ func main() {
 		Logger:     logger,
 	}
 	if set.Store != "" {
+		start := time.Now()
 		st, err := store.Open(set.Store, set.StoreEntries)
 		if err != nil {
 			fatal(logger, "opening result store", err)
 		}
+		openMS := float64(time.Since(start).Microseconds()) / 1000
 		stats := st.Stats()
-		logger.Info("result store", "dir", set.Store, "entries", stats.Entries, "bytes", stats.Bytes)
+		logger.Info("result store", "dir", set.Store, "entries", stats.Entries, "bytes", stats.Bytes,
+			"open_ms", openMS, "migrated", stats.Migrated)
 		cfg.Store = st
 	}
 

@@ -3,10 +3,12 @@
 // the run's canonical spec, see stems.RunKey), so a restarted daemon
 // answers previously computed jobs from disk instead of re-simulating.
 //
-// Layout: entries live under a two-level fanout directory derived from
-// the key's hex prefix — dir/ab/cd/<full-64-hex-key> — so no single
-// directory grows past what filesystems list comfortably. Writes go to
-// a same-directory *.tmp file first and rename into place, so readers
+// Layout: entries live one level deep, in at most 256 fanout
+// directories named by the key's first two hex digits —
+// dir/ab/<full-64-hex-key> — as git lays out its loose objects. A
+// directory holds about bound/256 entries, and the store makes at most
+// 257 directories however many keys it has held. Writes go to a
+// same-directory *.tmp file first and rename into place, so readers
 // (and a daemon killed mid-write) never observe a half-written entry;
 // leftover *.tmp files are swept on Open. Every entry carries a small
 // header (magic, payload length, CRC-32) verified on read — a corrupt
@@ -14,7 +16,18 @@
 //
 // The store is LRU-bounded by entry count. The recency index is held in
 // memory and rebuilt on Open from file modification times (Get bumps an
-// entry's mtime best-effort, so recency survives restarts too).
+// entry's mtime best-effort, so recency survives restarts too). The
+// rebuild reads the root and each fanout directory once and takes each
+// entry's size and mtime from its directory entry; it opens no entry.
+// Files and directories that are not the store's are left alone.
+//
+// Earlier versions laid entries out two levels deep, dir/ab/cd/<key>,
+// which gave nearly every entry a leaf directory of its own that
+// eviction never removed. Open moves such a store into the one-level
+// layout in place: it renames each entry up one level (a rename keeps
+// the mtime, so the entry keeps its recency) and removes the emptied
+// leaf directory. A migration cut short by a crash finishes on the next
+// Open.
 //
 // Byte identity is the contract: Get returns exactly the bytes Put
 // stored, which for stemsd are the canonical label-less result bytes of
@@ -61,6 +74,9 @@ type Stats struct {
 	Misses         uint64
 	Evictions      uint64
 	CorruptDropped uint64
+	// Migrated counts the entries Open moved out of the two-level
+	// layout of earlier versions.
+	Migrated uint64
 	// ReadLatency and WriteLatency are the disk I/O distributions: entry
 	// read+verify time (hits only) and entry write+sync+rename time.
 	ReadLatency  obs.Snapshot
@@ -124,51 +140,53 @@ func (s *Store) Dir() string { return s.dir }
 // Bound returns the LRU entry cap.
 func (s *Store) Bound() int { return s.bound }
 
-// rebuild scans the fanout tree: removes *.tmp leftovers, indexes valid
+// rebuild reads the root and each fanout directory once: it removes
+// *.tmp leftovers, migrates two-level leaf directories, indexes valid
 // entry files by mtime (recency), and enforces the bound.
 func (s *Store) rebuild() error {
-	type found struct {
-		key   string
-		size  int64
-		mtime time.Time
-	}
 	var all []found
-	err := filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if strings.HasSuffix(name, ".tmp") {
-			// An interrupted write: the rename never happened, so the
-			// entry does not exist. Sweep it.
-			os.Remove(path) //nolint:errcheck // best-effort cleanup
-			return nil
-		}
-		if !validKey(name) || filepath.Dir(path) != filepath.Dir(s.path(name)) {
-			// Not one of ours; leave it alone.
-			return nil
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil // raced with a delete; skip
-		}
-		size := info.Size() - headerSize
-		if size < 0 {
-			size = 0 // undersized; Get will drop it as corrupt
-		}
-		all = append(all, found{key: name, size: size, mtime: info.ModTime()})
-		return nil
-	})
+	fans, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: rebuilding index: %w", err)
+	}
+	for _, fan := range fans {
+		if !fan.IsDir() || !isHex(fan.Name(), 2) {
+			continue // not one of ours
+		}
+		fanDir := filepath.Join(s.dir, fan.Name())
+		ents, err := os.ReadDir(fanDir)
+		if err != nil {
+			return fmt.Errorf("store: rebuilding index: %w", err)
+		}
+		for _, e := range ents {
+			name := e.Name()
+			switch {
+			case e.IsDir():
+				if isHex(name, 2) {
+					moved, err := s.migrate(filepath.Join(fanDir, name), fan.Name()+name)
+					if err != nil {
+						return err
+					}
+					all = append(all, moved...)
+				}
+			case strings.HasSuffix(name, ".tmp"):
+				// An interrupted write: the rename never happened, so
+				// the entry does not exist. Sweep it.
+				os.Remove(filepath.Join(fanDir, name)) //nolint:errcheck // best-effort cleanup
+			case validKey(name) && name[:2] == fan.Name():
+				if f, ok := stat(name, e); ok {
+					all = append(all, f)
+				}
+			}
+		}
 	}
 	// Oldest first, so PushFront leaves the most recently used at the
 	// front — the same order Put/Get maintain.
 	sort.Slice(all, func(i, j int) bool { return all[i].mtime.Before(all[j].mtime) })
 	for _, f := range all {
+		if _, dup := s.entries[f.key]; dup {
+			continue // a two-level copy renamed onto a moved one: one file
+		}
 		s.entries[f.key] = s.ll.PushFront(&entry{key: f.key, size: f.size})
 		s.bytes += f.size
 	}
@@ -176,18 +194,76 @@ func (s *Store) rebuild() error {
 	return nil
 }
 
-// path maps a key to its entry file: dir/ab/cd/<key>.
+// migrate moves the entries of leaf, a dir/ab/cd directory of the
+// two-level layout whose keys start with prefix "abcd", up into dir/ab
+// and returns them. It sweeps the leaf's *.tmp leftovers and removes the
+// leaf if that left it empty.
+func (s *Store) migrate(leaf, prefix string) ([]found, error) {
+	ents, err := os.ReadDir(leaf)
+	if err != nil {
+		return nil, fmt.Errorf("store: migrating %s: %w", leaf, err)
+	}
+	var moved []found
+	for _, e := range ents {
+		name, old := e.Name(), filepath.Join(leaf, e.Name())
+		switch {
+		case e.IsDir():
+			// Not one of ours.
+		case strings.HasSuffix(name, ".tmp"):
+			os.Remove(old) //nolint:errcheck // best-effort cleanup
+		case validKey(name) && name[:4] == prefix:
+			// Stat before the rename: the DirEntry names the old path.
+			f, ok := stat(name, e)
+			if !ok {
+				continue
+			}
+			if err := os.Rename(old, s.path(name)); err != nil {
+				return nil, fmt.Errorf("store: migrating %s: %w", name, err)
+			}
+			s.stats.Migrated++
+			moved = append(moved, f)
+		}
+	}
+	os.Remove(leaf) //nolint:errcheck // fails, as it should, while foreign files remain
+	return moved, nil
+}
+
+// found is an entry file the rebuild indexes.
+type found struct {
+	key   string
+	size  int64
+	mtime time.Time
+}
+
+// stat describes the entry file e, named key; ok is false if it
+// vanished since its directory was read.
+func stat(key string, e fs.DirEntry) (f found, ok bool) {
+	info, err := e.Info()
+	if err != nil {
+		return found{}, false // raced with a delete; skip
+	}
+	size := info.Size() - headerSize
+	if size < 0 {
+		size = 0 // undersized; Get will drop it as corrupt
+	}
+	return found{key: key, size: size, mtime: info.ModTime()}, true
+}
+
+// path maps a key to its entry file: dir/ab/<key>.
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key[2:4], key)
+	return filepath.Join(s.dir, key[:2], key)
 }
 
 // validKey reports whether name looks like a SHA-256 hex content
 // address (the only filenames the store creates).
-func validKey(name string) bool {
-	if len(name) != 64 {
+func validKey(name string) bool { return isHex(name, 64) }
+
+// isHex reports whether name is n lowercase hex digits.
+func isHex(name string, n int) bool {
+	if len(name) != n {
 		return false
 	}
-	for i := 0; i < len(name); i++ {
+	for i := 0; i < n; i++ {
 		c := name[i]
 		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
 			return false

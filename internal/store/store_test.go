@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,9 +68,260 @@ func TestFanoutLayout(t *testing.T) {
 	if err := s.Put(k, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	want := filepath.Join(dir, k[:2], k[2:4], k)
-	if _, err := os.Stat(want); err != nil {
-		t.Fatalf("entry not at fanout path %s: %v", want, err)
+	if rel, _ := filepath.Rel(dir, s.path(k)); rel != filepath.Join(k[:2], k) {
+		t.Fatalf("entry path %s, want dir/%s/<key>", rel, k[:2])
+	}
+	if _, err := os.Stat(s.path(k)); err != nil {
+		t.Fatalf("entry not at fanout path %s: %v", s.path(k), err)
+	}
+}
+
+// TestOpenLeavesForeignFiles puts files the store did not write where
+// Open looks: the scheduler's state (stemsd's default is <store>/
+// schedules.json), a non-key file in a fanout directory, and a complete
+// entry under its key in the wrong fanout directory. Open must neither
+// index, move nor delete any of them.
+func TestOpenLeavesForeignFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ours := key("ours")
+	if err := s.Put(ours, []byte("ours")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	foreign := map[string][]byte{
+		filepath.Join(dir, "schedules.json"):                []byte(`{"schedules":{}}`),
+		filepath.Join(dir, "schedules.json.tmp"):            []byte(`{"sched`),
+		filepath.Join(filepath.Dir(s.path(ours)), "README"): []byte("not an entry"),
+	}
+	for path, data := range foreign {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misplaced := key("misplaced")
+	wrongFan := "00"
+	if misplaced[:2] == wrongFan {
+		wrongFan = "ff"
+	}
+	wrong := filepath.Join(dir, wrongFan, misplaced)
+	if err := writeEntry(wrong, []byte("a complete entry in the wrong place")); err != nil {
+		t.Fatal(err)
+	}
+	if foreign[wrong], err = os.ReadFile(wrong); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Len(); got != 1 {
+		t.Fatalf("Len = %d, want 1: a foreign file was indexed", got)
+	}
+	if s2.Contains(misplaced) {
+		t.Fatal("entry in the wrong fanout directory indexed")
+	}
+	if m := s2.Stats().Migrated; m != 0 {
+		t.Fatalf("Migrated = %d, want 0", m)
+	}
+	for path, want := range foreign {
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("foreign file %s: %v", path, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("foreign file %s rewritten", path)
+		}
+	}
+}
+
+// TestOpenMigratesTwoLevelStore opens stores written in the two-level
+// layout of earlier versions, dir/ab/cd/<key>, with a bound one below
+// the entry count: one as that layout left it, one whose migration a
+// crash cut short, and one that also holds an entry in both layouts (a
+// two-level daemon run after a migration rewrites its keys there).
+func TestOpenMigratesTwoLevelStore(t *testing.T) {
+	const n = 6
+	for _, c := range []struct {
+		name     string
+		premoved int // entries already moved up one level
+		both     int // entries also copied up, left in the old layout too
+	}{
+		{"two-level", 0, 0},
+		{"half-migrated", 3, 0},
+		{"both-layouts", 0, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := (&Store{dir: dir}).path
+			twoLevel := func(k string) string { return filepath.Join(dir, k[:2], k[2:4], k) }
+			keys := make([]string, n) // oldest mtime first
+			want := make(map[string][]byte)
+			for i := range keys {
+				k := key(fmt.Sprint("two-level-", i))
+				keys[i], want[k] = k, []byte(fmt.Sprintf(`{"run":%d}`, i))
+				if err := writeEntry(twoLevel(k), want[k]); err != nil {
+					t.Fatal(err)
+				}
+				mt := time.Now().Add(time.Duration(i-n) * time.Hour)
+				if err := os.Chtimes(twoLevel(k), mt, mt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys[:c.both] {
+				if err := writeEntry(path(k), want[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, k := range keys[:c.premoved] {
+				if err := os.Rename(twoLevel(k), path(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			leaf := filepath.Dir(twoLevel(keys[n-1]))
+			tmp := filepath.Join(leaf, keys[n-1]+".123456.tmp")
+			foreign := filepath.Join(leaf, "notes.txt")
+			for _, f := range []string{tmp, foreign} {
+				if err := os.WriteFile(f, []byte("not an entry"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			s, err := Open(dir, n-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.Stats()
+			if st.Migrated != uint64(n-c.premoved) || st.Entries != n-1 || st.Evictions != 1 {
+				t.Fatalf("stats = %+v, want %d migrated, %d entries, 1 eviction", st, n-c.premoved, n-1)
+			}
+			if _, ok := s.Get(keys[0]); ok {
+				t.Fatal("oldest entry by mtime survived the bound")
+			}
+			for _, p := range []string{path(keys[0]), twoLevel(keys[0])} {
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Fatalf("evicted entry still on disk at %s", p)
+				}
+			}
+			for _, k := range keys[1:] {
+				if got, ok := s.Get(k); !ok || !bytes.Equal(got, want[k]) {
+					t.Fatalf("Get(%s) = %q, %v; want %q", k[:8], got, ok, want[k])
+				}
+			}
+			if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+				t.Fatal("tmp leftover in a two-level directory not swept")
+			}
+			// Below the fanout directories only entries may remain, and
+			// the foreign file's leaf directory holding only that file.
+			err = filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+				if err != nil || p == dir || filepath.Dir(p) == dir || p == leaf || p == foreign {
+					return err
+				}
+				if d.IsDir() || filepath.Dir(filepath.Dir(p)) != dir {
+					t.Errorf("%s left below a fanout directory", p)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Stat(foreign); err != nil {
+				t.Fatalf("foreign file in a two-level directory: %v", err)
+			}
+			s.Close()
+
+			s2, err := Open(dir, n-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := s2.Stats(); st.Migrated != 0 || st.Entries != n-1 {
+				t.Fatalf("second Open stats = %+v, want 0 migrated, %d entries", st, n-1)
+			}
+		})
+	}
+}
+
+// TestFanoutDirectoriesBounded puts 20x the bound in distinct keys: the
+// tree keeps at most 256 fanout directories and nothing deeper, however
+// many keys it has held.
+func TestFanoutDirectoriesBounded(t *testing.T) {
+	const bound = 64
+	dir := t.TempDir()
+	s, err := Open(dir, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20*bound; i++ {
+		if err := s.Put(key(fmt.Sprint("churn-", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Len(); got != bound {
+		t.Fatalf("Len = %d, want %d", got, bound)
+	}
+	if fanout, deeper := treeDirs(t, dir); fanout > 256 || deeper != 0 {
+		t.Fatalf("%d fanout directories and %d deeper, want at most 256 and none", fanout, deeper)
+	}
+}
+
+// treeDirs counts the directories below dir: fanout directories directly
+// under it, and any deeper.
+func treeDirs(tb testing.TB, dir string) (fanout, deeper int) {
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == dir {
+			return err
+		}
+		if filepath.Dir(path) == dir {
+			fanout++
+		} else {
+			deeper++
+		}
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fanout, deeper
+}
+
+// BenchmarkOpen re-opens a store built once outside the timer: fresh
+// stores of 980 entries (perfbench serve-hits' key set) and of 4,096
+// (stemsd's default -store-entries), and a 980-entry store after 20,000
+// Puts of distinct keys. dirs is the directories in the tree, which is
+// what Open reads.
+func BenchmarkOpen(b *testing.B) {
+	for _, c := range []struct {
+		name        string
+		bound, puts int
+	}{
+		{"fresh-980", 980, 980},
+		{"fresh-4096", 4096, 4096},
+		{"churned-980", 980, 20000},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			dir := b.TempDir()
+			s, err := Open(dir, c.bound)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payload := make([]byte, 920) // about one result document
+			for i := 0; i < c.puts; i++ {
+				if err := s.Put(key(fmt.Sprint(c.name, i)), payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			fanout, deeper := treeDirs(b, dir)
+			for b.Loop() {
+				if _, err := Open(dir, c.bound); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(1+fanout+deeper), "dirs")
+		})
 	}
 }
 
@@ -125,7 +377,7 @@ func TestReopenRecencyFromMtime(t *testing.T) {
 		}
 		// Filesystem mtime granularity can be coarse; set them explicitly.
 		mt := time.Now().Add(time.Duration(i-3) * time.Hour)
-		if err := os.Chtimes(filepath.Join(dir, k[:2], k[2:4], k), mt, mt); err != nil {
+		if err := os.Chtimes(s.path(k), mt, mt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,11 +433,10 @@ func TestLRUEviction(t *testing.T) {
 func TestCrashBetweenTmpAndRename(t *testing.T) {
 	dir := t.TempDir()
 	k := key("torn")
-	fan := filepath.Join(dir, k[:2], k[2:4])
-	if err := os.MkdirAll(fan, 0o755); err != nil {
+	tmp := (&Store{dir: dir}).path(k) + ".123456.tmp"
+	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(fan, k+".123456.tmp")
 	if err := os.WriteFile(tmp, []byte("partial garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +478,7 @@ func TestCorruptEntryDropped(t *testing.T) {
 			if err := s.Put(k, []byte(`{"result":"important"}`)); err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join(dir, k[:2], k[2:4], k)
+			path := s.path(k)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)

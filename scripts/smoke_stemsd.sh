@@ -9,10 +9,14 @@
 # fails the first delivery, forcing a retry), submits a server-side grid
 # job with duplicate cells, and asserts the new counters — grid jobs,
 # schedule fires, notifications sent — in both the JSON and Prometheus
-# expositions. CI runs this after the unit suites; it is the one check
-# that exercises the real binary end to end (flags, config file, signal
-# handling, HTTP stack, restart durability) rather than an in-process
-# httptest server.
+# expositions. Between the two, five rounds kill -9 the daemon partway
+# through a job on the same -store: every restart must find the store
+# clean (no *.tmp debris, nothing deeper than the store's one fanout
+# level), and the rounds' runs must then finish with results byte-equal
+# to the same runs on a fresh store. CI runs this after the unit
+# suites; it is the one check that exercises the real binary end to end
+# (flags, config file, signal handling, HTTP stack, restart and crash
+# durability) rather than an in-process httptest server.
 #
 # Needs only bash + curl + grep/sed (no jq): field extraction below works
 # on the server's compact single-line JSON.
@@ -28,6 +32,7 @@ BASE="http://$ADDR"
 BIN="$(mktemp -d)/stemsd"
 LOG="$(mktemp)"
 STORE="$(mktemp -d)"
+FRESH_STORE="$(mktemp -d)"
 OUT="${SMOKE_OUT:-}"
 [[ -n "$OUT" ]] && mkdir -p "$OUT"
 
@@ -39,7 +44,7 @@ cleanup() {
   [[ -n "${PID:-}" ]] && kill -9 "$PID" 2>/dev/null || true
   [[ -n "${SINK_PID:-}" ]] && kill -9 "$SINK_PID" 2>/dev/null || true
   rm -f "$LOG" "$CFG"
-  rm -rf "$(dirname "$BIN")" "$STORE"
+  rm -rf "$(dirname "$BIN")" "$STORE" "$FRESH_STORE"
 }
 trap cleanup EXIT
 
@@ -59,6 +64,37 @@ PID=$!
 # jsonfield DOC KEY — extract a scalar field from compact JSON.
 jsonfield() {
   sed -n "s/.*\"$2\":\"\{0,1\}\([^,\"}]*\)\"\{0,1\}[,}].*/\1/p" <<<"$1" | head -1
+}
+
+# start_daemon DIR — launch stemsd on store DIR and wait for /healthz.
+start_daemon() {
+  : >"$LOG"
+  "$BIN" -addr "$ADDR" -workers 2 -queue 8 -cache 16 -store "$1" >"$LOG" 2>&1 &
+  PID=$!
+  for _ in $(seq 1 100); do
+    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then return 0; fi
+    if ! kill -0 "$PID" 2>/dev/null; then
+      echo "daemon died during startup on $1:"; cat "$LOG"; exit 1
+    fi
+    sleep 0.1
+  done
+  echo "daemon on $1 never answered /healthz:"; cat "$LOG"; exit 1
+}
+
+# job_results SPEC — submit SPEC, require it to finish done, print its
+# results array (the last field of the job status).
+job_results() {
+  local submit id status state=""
+  submit="$(curl -fsS -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' -d "$1")"
+  id="$(jsonfield "$submit" id)"
+  for _ in $(seq 1 300); do
+    status="$(curl -fsS "$BASE/v1/jobs/$id")"
+    state="$(jsonfield "$status" state)"
+    [[ "$state" == "done" || "$state" == "failed" || "$state" == "canceled" ]] && break
+    sleep 0.1
+  done
+  [[ "$state" == "done" ]] || { echo "job $id ended in state '$state'" >&2; cat "$LOG" >&2; exit 1; }
+  sed -n 's/.*"results":\(\[.*\]\)}$/\1/p' <<<"$status"
 }
 
 echo "== wait for /healthz"
@@ -166,18 +202,9 @@ PID=""
 grep -q "drained, exiting" "$LOG" || { echo "no clean-drain log line:"; cat "$LOG"; exit 1; }
 
 echo "== restart on the same -store directory"
-: >"$LOG"
-"$BIN" -addr "$ADDR" -workers 2 -queue 8 -cache 16 -store "$STORE" >"$LOG" 2>&1 &
-PID=$!
-for _ in $(seq 1 100); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  if ! kill -0 "$PID" 2>/dev/null; then
-    echo "daemon died during restart:"; cat "$LOG"; exit 1
-  fi
-  sleep 0.1
-done
-# The startup log reports what the store rebuild found.
-grep -q "result store" "$LOG" || { echo "no store-open log line:"; cat "$LOG"; exit 1; }
+start_daemon "$STORE"
+# The startup log reports what the store rebuild found and what it cost.
+grep -Eq 'msg="result store".* open_ms=[0-9.]+ migrated=[0-9]+' "$LOG" || { echo "no store-open log line with open_ms and migrated:"; cat "$LOG"; exit 1; }
 
 echo "== resubmit the first job: must be served from disk"
 RESUBMIT="$(curl -fsS -X POST "$BASE/v1/jobs" \
@@ -212,6 +239,52 @@ if [[ "$EXIT" -ne 0 ]]; then
   echo "daemon exited $EXIT after restart SIGTERM:"; cat "$LOG"; exit 1
 fi
 PID=""
+
+# kjob_runs SEED — the four short runs of a kill -9 round, at SEED.
+kjob_runs() {
+  local r=""
+  for PW in stems/em3d sms/em3d stems/DB2 tms/DB2; do
+    r+="${r:+,}{\"predictor\":\"${PW%/*}\",\"workload\":\"${PW#*/}\",\"accesses\":200000,\"seed\":$1}"
+  done
+  echo "$r"
+}
+
+# Each round's job is new work (its own seed), so every round computes
+# and writes entries when the kill lands; the same job every round would
+# leave nothing to write once one round outlived it.
+echo "== kill -9 partway through a job, five rounds on the same -store"
+start_daemon "$STORE"
+ALL_RUNS=""
+for ROUND in 1 2 3 4 5; do
+  ALL_RUNS+="${ALL_RUNS:+,}$(kjob_runs "$ROUND")"
+  curl -fsS -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' \
+    -d "{\"runs\":[$(kjob_runs "$ROUND")]}" >/dev/null
+  DELAY="$(printf '0.%02d' $((ROUND * 5)))" # staggered: 0.05 s to 0.25 s into the job
+  sleep "$DELAY"
+  kill -9 "$PID"
+  wait "$PID" 2>/dev/null || true
+  PID=""
+  start_daemon "$STORE"
+  echo "round $ROUND: killed ${DELAY}s into its job; restart found $(sed -n 's/.*msg="result store".* entries=\([0-9]*\).*/\1/p' "$LOG") entries"
+  LEFT="$(find "$STORE" -name '*.tmp'; find "$STORE" -mindepth 2 -type d)"
+  [[ -z "$LEFT" ]] || { echo "round $ROUND: store not clean after a kill -9 restart:"; echo "$LEFT"; exit 1; }
+done
+
+echo "== the rounds' runs after the kills: done, nothing dropped as corrupt, same bytes as on a fresh store"
+KJOB="{\"runs\":[$ALL_RUNS]}"
+KILLED="$(job_results "$KJOB")"
+[[ -n "$KILLED" ]] || { echo "no results after the kill -9 rounds"; exit 1; }
+KSTORE="$(grep -o '"store":{[^}]*}' <<<"$(curl -fsS "$BASE/metrics")")"
+[[ "$(jsonfield "$KSTORE" corrupt_dropped)" == "0" ]] || { echo "store dropped corrupt entries: $KSTORE"; exit 1; }
+kill -TERM "$PID"
+wait "$PID" || { echo "daemon exited non-zero after the kill -9 rounds:"; cat "$LOG"; exit 1; }
+PID=""
+start_daemon "$FRESH_STORE"
+FRESH="$(job_results "$KJOB")"
+kill -TERM "$PID"
+wait "$PID" || { echo "fresh-store daemon exited non-zero:"; cat "$LOG"; exit 1; }
+PID=""
+[[ "$KILLED" == "$FRESH" ]] || { echo "results after the kill -9 rounds differ from a fresh store's"; exit 1; }
 
 echo "== start webhook sink on $SINK_ADDR (first delivery fails, forcing a retry)"
 "$SINK" -addr "$SINK_ADDR" -fail-first 1 >/dev/null 2>&1 &
