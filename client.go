@@ -367,7 +367,9 @@ func (c *Client) Watch(ctx context.Context, id string, fn func(JobStatus)) (JobS
 // WatchRuns is Watch with per-run result streaming: onResult (if
 // non-nil) receives each run's decoded result exactly once, in run
 // order, as soon as the service reports it — for a sweep job that is as
-// each run finishes, not at job completion. It is fed by the server's
+// each run finishes, not at job completion, except that a run finishing
+// before an earlier one is delivered when the earlier one finishes. It
+// is fed by the server's
 // SSE "result" events, and by diffing status snapshots when the client
 // falls back to polling (partial results are visible in GET
 // /v1/jobs/{id} while the job runs), so the exactly-once, in-order

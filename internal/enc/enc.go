@@ -197,6 +197,9 @@ func (s JobState) Terminal() bool {
 
 // JobProgress is the replay position of a job across its runs.
 type JobProgress struct {
+	// RunsDone counts the job's runs that have finished, in any order: a
+	// run counts as soon as it lands, even while an earlier run is still
+	// replaying.
 	RunsDone  int `json:"runs_done"`
 	RunsTotal int `json:"runs_total"`
 	// AccessesDone counts accesses accounted for so far — replayed by the
@@ -252,9 +255,12 @@ type JobStatus struct {
 	// until the job reaches them.
 	Phases []PhaseSpan `json:"phases,omitempty"`
 	Error  string      `json:"error,omitempty"`
-	// Results holds one canonical Result document per run, present once
-	// the job is done. Raw bytes, so a cached result round-trips through
-	// the API without re-marshaling drift.
+	// Results holds one canonical Result document per run, in run order:
+	// the longest prefix of the run list whose runs have all landed. While
+	// the job runs it grows as runs finish (a run that lands before an
+	// earlier one appears when the earlier one lands); once the job is
+	// done it holds every run. Raw bytes, so a cached result round-trips
+	// through the API without re-marshaling drift.
 	Results []json.RawMessage `json:"results,omitempty"`
 }
 
@@ -330,9 +336,9 @@ func PredictorInfos() []PredictorInfo {
 }
 
 // RunEvent is the payload of an SSE "result" event: one run's canonical
-// (labeled) result document, emitted as soon as that run finishes — a
-// sweep job streams results incrementally instead of only at job
-// completion.
+// (labeled) result document, emitted as soon as that run and every
+// earlier run have finished — a sweep job streams results incrementally,
+// in run order, instead of only at job completion.
 type RunEvent struct {
 	// Run is the zero-based index into the job's run list.
 	Run int `json:"run"`
@@ -410,12 +416,14 @@ type Metrics struct {
 	// read it.
 	Lockstep LockstepMetrics `json:"lockstep"`
 
-	// Sched reports the cron scheduler; absent when the daemon runs
-	// without schedules.
+	// Sched reports the cron scheduler. stemsd always reports it, with
+	// zero schedules when none are configured; it is absent only from a
+	// service that has no scheduler attached (an embedded Service).
 	Sched *SchedMetrics `json:"sched,omitempty"`
 
-	// Notify reports completion-notifier deliveries; absent when no
-	// notifiers are configured.
+	// Notify reports completion-notifier deliveries. stemsd always
+	// reports it, with zero notifiers when none are configured; it is
+	// absent only from a service that has no notifier set attached.
 	Notify *NotifyMetrics `json:"notify,omitempty"`
 
 	// Store reports the disk tier of the result cache; absent when the

@@ -170,34 +170,36 @@ type Set struct {
 	reg *obs.Registry
 
 	mu        sync.Mutex
-	notifiers map[string]Notifier
+	notifiers map[string]*member
 	allJobs   []string // names notified for every job completion
-	sent      map[string]*obs.Counter
-	failed    map[string]*obs.Counter
 	closed    bool
 
-	// Set-wide totals for the JSON /metrics document (the Prometheus
-	// exposition reads the per-notifier labeled counters instead).
-	totalSent   atomic.Uint64
-	totalFailed atomic.Uint64
-	retries     atomic.Uint64
+	retries atomic.Uint64
 
 	wg sync.WaitGroup
 }
 
-// NewSet builds an empty notifier set. reg (may be nil) receives the
-// per-notifier stemsd_notifications_sent_total / _failed_total counters;
-// logger (may be nil) receives delivery failures.
+// member is one registered notifier with its delivery counters, which
+// both the Prometheus exposition and the JSON /metrics totals read.
+type member struct {
+	Notifier
+	sent, failed *obs.Counter
+}
+
+// NewSet builds an empty notifier set. reg receives the per-notifier
+// stemsd_notifications_sent_total / _failed_total counters (nil: a
+// private registry); logger (may be nil) receives delivery failures.
 func NewSet(reg *obs.Registry, logger *slog.Logger) *Set {
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	return &Set{
 		log:       logger,
 		reg:       reg,
-		notifiers: make(map[string]Notifier),
-		sent:      make(map[string]*obs.Counter),
-		failed:    make(map[string]*obs.Counter),
+		notifiers: make(map[string]*member),
 	}
 }
 
@@ -214,18 +216,18 @@ func (s *Set) Register(n Notifier, allJobs bool) error {
 	if _, dup := s.notifiers[name]; dup {
 		return fmt.Errorf("notify: duplicate notifier %q", name)
 	}
-	s.notifiers[name] = n
+	s.notifiers[name] = &member{
+		Notifier: n,
+		sent: s.reg.Counter("stemsd_notifications_sent_total",
+			"Completion notifications delivered, by notifier.", obs.L("notifier", name)),
+		failed: s.reg.Counter("stemsd_notifications_failed_total",
+			"Completion notifications abandoned after retries, by notifier.", obs.L("notifier", name)),
+	}
 	if w, ok := n.(*Webhook); ok {
 		w.retries = &s.retries
 	}
 	if allJobs {
 		s.allJobs = append(s.allJobs, name)
-	}
-	if s.reg != nil {
-		s.sent[name] = s.reg.Counter("stemsd_notifications_sent_total",
-			"Completion notifications delivered, by notifier.", obs.L("notifier", name))
-		s.failed[name] = s.reg.Counter("stemsd_notifications_failed_total",
-			"Completion notifications abandoned after retries, by notifier.", obs.L("notifier", name))
 	}
 	return nil
 }
@@ -268,55 +270,42 @@ func (s *Set) Send(names []string, n enc.Notification) {
 		s.mu.Unlock()
 		return
 	}
-	targets := make([]Notifier, 0, len(names)+len(s.allJobs))
+	targets := make([]*member, 0, len(names)+len(s.allJobs))
 	seen := make(map[string]bool, len(names)+len(s.allJobs))
 	for _, name := range append(append([]string{}, names...), s.allJobs...) {
-		if nt, ok := s.notifiers[name]; ok && !seen[name] {
+		if m, ok := s.notifiers[name]; ok && !seen[name] {
 			seen[name] = true
-			targets = append(targets, nt)
+			targets = append(targets, m)
 		}
 	}
 	s.wg.Add(len(targets))
 	s.mu.Unlock()
 
-	for _, nt := range targets {
-		go func(nt Notifier) {
+	for _, m := range targets {
+		go func(m *member) {
 			defer s.wg.Done()
-			if err := nt.Send(context.Background(), n); err != nil {
-				s.totalFailed.Add(1)
-				if c := s.counter(s.failed, nt.Name()); c != nil {
-					c.Inc()
-				}
+			if err := m.Send(context.Background(), n); err != nil {
+				m.failed.Inc()
 				s.log.Warn("notification delivery failed",
-					"notifier", nt.Name(), "job", n.Job, "err", err)
+					"notifier", m.Name(), "job", n.Job, "err", err)
 				return
 			}
-			s.totalSent.Add(1)
-			if c := s.counter(s.sent, nt.Name()); c != nil {
-				c.Inc()
-			}
-		}(nt)
+			m.sent.Inc()
+		}(m)
 	}
 }
 
-func (s *Set) counter(m map[string]*obs.Counter, name string) *obs.Counter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return m[name]
-}
-
-// Metrics snapshots the set-wide delivery totals for the JSON /metrics
-// document.
+// Metrics snapshots the set-wide delivery totals, summed over the
+// notifiers' counters, for the JSON /metrics document.
 func (s *Set) Metrics() enc.NotifyMetrics {
 	s.mu.Lock()
-	n := len(s.notifiers)
-	s.mu.Unlock()
-	return enc.NotifyMetrics{
-		Notifiers: n,
-		Sent:      s.totalSent.Load(),
-		Failed:    s.totalFailed.Load(),
-		Retries:   s.retries.Load(),
+	defer s.mu.Unlock()
+	out := enc.NotifyMetrics{Notifiers: len(s.notifiers), Retries: s.retries.Load()}
+	for _, m := range s.notifiers {
+		out.Sent += m.sent.Value()
+		out.Failed += m.failed.Value()
 	}
+	return out
 }
 
 // Close waits for in-flight deliveries, then drops any further Sends —

@@ -62,7 +62,8 @@ type Config struct {
 	StatePath string
 	// Logger receives fire and persistence events (nil discards).
 	Logger *slog.Logger
-	// Obs, when set, receives the scheduler's counters and gauge.
+	// Obs receives the scheduler's counters and gauge (default: a fresh
+	// private registry).
 	Obs *obs.Registry
 }
 
@@ -90,8 +91,6 @@ type Scheduler struct {
 
 	fires      *obs.Counter
 	fireErrors *obs.Counter
-	firesN     uint64 // mirrors the counters for enc.SchedMetrics
-	fireErrsN  uint64
 
 	// parks counts fire-loop sleeps, incremented only after the clock
 	// waiter is registered — the ordering fake-clock tests key on.
@@ -135,6 +134,9 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
+	if cfg.Obs == nil {
+		cfg.Obs = obs.NewRegistry()
+	}
 	s := &Scheduler{
 		cfg:       cfg,
 		clock:     cfg.Clock,
@@ -145,18 +147,16 @@ func New(cfg Config) (*Scheduler, error) {
 		wake:      make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
-	if cfg.Obs != nil {
-		s.fires = cfg.Obs.Counter("stemsd_schedule_fires_total",
-			"Jobs submitted by schedule fires.")
-		s.fireErrors = cfg.Obs.Counter("stemsd_schedule_fire_errors_total",
-			"Schedule fires whose job submission failed.")
-		cfg.Obs.Gauge("stemsd_schedules",
-			"Registered cron schedules.", func() float64 {
-				s.mu.Lock()
-				defer s.mu.Unlock()
-				return float64(len(s.entries))
-			})
-	}
+	s.fires = cfg.Obs.Counter("stemsd_schedule_fires_total",
+		"Jobs submitted by schedule fires.")
+	s.fireErrors = cfg.Obs.Counter("stemsd_schedule_fire_errors_total",
+		"Schedule fires whose job submission failed.")
+	cfg.Obs.Gauge("stemsd_schedules",
+		"Registered cron schedules.", func() float64 {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return float64(len(s.entries))
+		})
 	go s.loop()
 	return s, nil
 }
@@ -277,8 +277,8 @@ func (s *Scheduler) Metrics() enc.SchedMetrics {
 	defer s.mu.Unlock()
 	return enc.SchedMetrics{
 		Schedules:  len(s.entries),
-		Fires:      s.firesN,
-		FireErrors: s.fireErrsN,
+		Fires:      s.fires.Value(),
+		FireErrors: s.fireErrors.Value(),
 	}
 }
 
@@ -351,10 +351,7 @@ func (s *Scheduler) fireDueLocked(now time.Time) {
 		id, err := s.cfg.Submit(*e.spec.Job)
 		if err != nil {
 			e.lastErr = err.Error()
-			s.fireErrsN++
-			if s.fireErrors != nil {
-				s.fireErrors.Inc()
-			}
+			s.fireErrors.Inc()
 			s.log.Warn("schedule fire failed", "schedule", e.spec.Name, "err", err)
 		} else {
 			e.lastJob = id
@@ -362,10 +359,7 @@ func (s *Scheduler) fireDueLocked(now time.Time) {
 			e.lastErr = ""
 			e.fires++
 			s.jobs[id] = e
-			s.firesN++
-			if s.fires != nil {
-				s.fires.Inc()
-			}
+			s.fires.Inc()
 			s.log.Info("schedule fired", "schedule", e.spec.Name, "job", id)
 		}
 		e.nextFire = e.cron.Next(now)

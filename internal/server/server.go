@@ -272,9 +272,10 @@ func (s *Server) cancelJob(w http.ResponseWriter, r *http.Request) {
 // progress, run completions), and a final one at the terminal state,
 // after which the stream closes. Each run of a sweep job additionally
 // emits one "result" event (enc.RunEvent: run index + the canonical
-// labeled result document) the moment it finishes, before the status
-// event that reflects it — clients consume sweep results incrementally
-// instead of waiting for job completion. A reconnecting client simply
+// labeled result document) once it and every earlier run have finished,
+// before the status event that reflects it — clients consume sweep
+// results incrementally, in run order, instead of waiting for job
+// completion. A reconnecting client simply
 // gets the current status again — status events carry full snapshots,
 // not deltas, so there is no resume cursor to track (result events for
 // already-finished runs are re-emitted from index 0 on reconnect).

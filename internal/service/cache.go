@@ -57,40 +57,34 @@ func newResultCache(bound int, disk *store.Store) *resultCache {
 	}
 }
 
-// get returns the cached bytes for key, counting a hit or miss. A
-// memory miss falls through to the disk store (when attached); a disk
-// hit re-installs the bytes in the memory tier.
-func (c *resultCache) get(key string) ([]byte, bool) {
+// lookup asks the cache for key once. A memory or disk hit returns the
+// bytes with a nil flight (a disk hit re-installs them in the memory
+// tier). Otherwise it returns the key's flight: one already in progress,
+// to wait on, or a new one the caller leads (lead true) and must resolve
+// exactly once. A hit counts as a hit and a led flight as the key's one
+// miss; a wait on another flight counts when it succeeds (sharedHit).
+func (c *resultCache) lookup(key string) (data []byte, fl *flight, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).data, true
+		return el.Value.(*cacheEntry).data, nil, false
+	}
+	if fl = c.flights[key]; fl != nil {
+		return nil, fl, false
 	}
 	if c.disk != nil {
 		if data, ok := c.disk.Get(key); ok {
 			c.hits++
 			c.installLocked(key, data)
-			return data, true
+			return data, nil, false
 		}
 	}
 	c.misses++
-	return nil, false
-}
-
-// claim returns the flight for key and whether the caller is its leader.
-// The leader must call resolve exactly once; followers wait on
-// flight.done.
-func (c *resultCache) claim(key string) (*flight, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fl, ok := c.flights[key]; ok {
-		return fl, false
-	}
-	fl := &flight{done: make(chan struct{})}
+	fl = &flight{done: make(chan struct{})}
 	c.flights[key] = fl
-	return fl, true
+	return nil, fl, true
 }
 
 // resolve completes a flight: a successful result is stored in the LRU,
@@ -142,16 +136,11 @@ func (c *resultCache) counters() (hits, misses uint64, entries int) {
 	return c.hits, c.misses, c.ll.Len()
 }
 
-// sharedHit records a hit that bypassed get: a follower served by a
-// leader's flight avoided a recomputation just like an LRU hit, and the
-// /metrics cache-hit counter should say so. The earlier miss the follower
-// was charged on its failed get is rolled back so the hit rate reflects
-// one miss (the leader's) per computed result.
+// sharedHit records a hit served by another run's flight: the waiter
+// avoided a recomputation just like an LRU hit, and the /metrics
+// cache-hit counter says so.
 func (c *resultCache) sharedHit() {
 	c.mu.Lock()
 	c.hits++
-	if c.misses > 0 {
-		c.misses--
-	}
 	c.mu.Unlock()
 }

@@ -53,10 +53,15 @@ type Job struct {
 	phaseNanos  [enc.NumPhases]atomic.Int64
 	phaseCounts [enc.NumPhases]atomic.Int64
 
-	mu        sync.Mutex
-	state     enc.JobState
-	err       error
+	mu    sync.Mutex
+	state enc.JobState
+	err   error
+	// results holds each run's labeled result at its run index, nil until
+	// the run lands; prefix counts the leading runs that have all landed,
+	// which is what Status reports. runsDone counts landed runs in any
+	// order.
 	results   []json.RawMessage
+	prefix    int
 	runsDone  int
 	cacheHits int
 	subs      map[chan struct{}]struct{}
@@ -79,6 +84,7 @@ func newJob(id string, spec enc.JobSpec, runs []resolvedRun, parent context.Cont
 		cancel:        cancel,
 		accessesTotal: total,
 		created:       time.Now(),
+		results:       make([]json.RawMessage, len(runs)),
 		state:         enc.JobQueued,
 		subs:          make(map[chan struct{}]struct{}),
 		done:          make(chan struct{}),
@@ -131,8 +137,8 @@ func (j *Job) Status() enc.JobStatus {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if len(j.results) > 0 {
-		st.Results = append([]json.RawMessage(nil), j.results...)
+	if j.prefix > 0 {
+		st.Results = append([]json.RawMessage(nil), j.results[:j.prefix]...)
 	}
 	return st
 }
@@ -189,15 +195,20 @@ func (j *Job) begin() bool {
 	return true
 }
 
-// noteRunDone appends one run's encoded result and advances the run
-// counter; fromCache credits the run's full access count (no replay
-// happened) and the job's cache-hit counter.
-func (j *Job) noteRunDone(result json.RawMessage, n int, fromCache bool) {
+// land records run i's encoded result as it finishes: it counts the run
+// done and extends the reported prefix over every run that has now
+// landed behind the earliest one still out. fromCache credits the run's
+// full access count (no replay happened) and the job's cache-hit
+// counter.
+func (j *Job) land(i int, result json.RawMessage, n int, fromCache bool) {
 	if fromCache {
 		j.accessesDone.Add(uint64(n))
 	}
 	j.mu.Lock()
-	j.results = append(j.results, result)
+	j.results[i] = result
+	for j.prefix < len(j.results) && j.results[j.prefix] != nil {
+		j.prefix++
+	}
 	j.runsDone++
 	if fromCache {
 		j.cacheHits++

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"runtime"
 	"testing"
+	"time"
 
 	"stems/internal/enc"
 	"stems/internal/sim"
@@ -12,10 +14,10 @@ func seedRun(workload string, accesses int, seed int64, label string) enc.RunSpe
 	return enc.RunSpec{Predictor: "stems", Workload: workload, Accesses: accesses, Seed: seed, Label: label}
 }
 
-// TestLockstepSetByteIdentical: a job whose runs differ only by seed
+// TestSeedRunsMatchSingleRunJobs: a job whose runs differ only by seed
 // computes them concurrently, and every result must be byte-identical to
 // the same runs submitted as separate jobs against a fresh daemon.
-func TestLockstepSetByteIdentical(t *testing.T) {
+func TestSeedRunsMatchSingleRunJobs(t *testing.T) {
 	seeds := []int64{1, 7920, 15839}
 
 	// Sequential reference: one daemon, one job per seed.
@@ -83,10 +85,10 @@ func TestLockstepSetByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLockstepSetMixedCells: a job interleaving two cells and a
+// TestMixedRunsInOrderWithDuplicateHit: a job interleaving two cells and a
 // duplicate key still returns results in submission order, each correct
 // for its spec, with labels applied.
-func TestLockstepSetMixedCells(t *testing.T) {
+func TestMixedRunsInOrderWithDuplicateHit(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 1, QueueBound: 8})
 	defer svc.Drain()
 
@@ -123,11 +125,11 @@ func TestLockstepSetMixedCells(t *testing.T) {
 	}
 }
 
-// TestFusedSetByteIdentical: a job whose runs replay one trace with
+// TestOneTraceRunsMatchSingleRunJobs: a job whose runs replay one trace with
 // different predictors and knobs computes them concurrently over the
 // arena's one resident copy, and every result must be byte-identical to
 // the same specs submitted as separate jobs against a fresh daemon.
-func TestFusedSetByteIdentical(t *testing.T) {
+func TestOneTraceRunsMatchSingleRunJobs(t *testing.T) {
 	specs := []enc.RunSpec{
 		{Predictor: "stride", Workload: "em3d", Accesses: 20_000, Seed: 1},
 		{Predictor: "sms", Workload: "em3d", Accesses: 20_000, Seed: 1},
@@ -198,10 +200,10 @@ func TestFusedSetByteIdentical(t *testing.T) {
 	}
 }
 
-// TestLockstepSetNonAdjacent: runs sharing a trace or a cell with other
+// TestInterleavedRunsInOrder: runs sharing a trace or a cell with other
 // work between them in the job still arrive in submission order with the
 // right labels.
-func TestLockstepSetNonAdjacent(t *testing.T) {
+func TestInterleavedRunsInOrder(t *testing.T) {
 	svc := mustNew(t, Config{Workers: 1, QueueBound: 8})
 	defer svc.Drain()
 
@@ -258,9 +260,9 @@ func watchProgress(j *Job) <-chan []uint64 {
 // workers, each computing its runs concurrently, and the second shares
 // half of the first's keys. Every result must be byte-identical to the
 // same run as a single-run job; each unique key is computed exactly once
-// (whichever job claims it first), every other run is exactly one cache
-// hit; and each job's progress only moves forward, ending at its
-// AccessesTotal.
+// (whichever job claims it first) and counted as one cache miss, every
+// other run is exactly one cache hit; and each job's progress only moves
+// forward, ending at its AccessesTotal.
 func TestConcurrentJobsShareKeys(t *testing.T) {
 	const accesses = 10_000
 	var a, b []enc.RunSpec
@@ -330,5 +332,74 @@ func TestConcurrentJobsShareKeys(t *testing.T) {
 	}
 	if shared := len(a) + len(b) - unique; hits != shared || m.CacheHits != uint64(shared) {
 		t.Errorf("cache hits: jobs %d, service %d, want %d each", hits, m.CacheHits, shared)
+	}
+	if m.CacheMisses != uint64(unique) {
+		t.Errorf("cache misses = %d, want %d (one per computed key)", m.CacheMisses, unique)
+	}
+}
+
+// awaitRunning watches a running job until pred holds for its status,
+// then cancels the job and requires it to end canceled. It fails if the
+// job ends first or pred does not hold within a minute.
+func awaitRunning(t *testing.T, svc *Service, j *Job, pred func(enc.JobStatus) bool) enc.JobStatus {
+	t.Helper()
+	ch, stop := j.Subscribe()
+	defer stop()
+	deadline := time.After(time.Minute)
+	var st enc.JobStatus
+	for st = j.Status(); st.State != enc.JobRunning || !pred(st); st = j.Status() {
+		select {
+		case <-ch:
+		case <-j.Done():
+			end := j.Status()
+			t.Fatalf("job ended before the awaited status: %s, runs_done %d, %d results",
+				end.State, end.Progress.RunsDone, len(end.Results))
+		case <-deadline:
+			t.Fatalf("awaited status never seen: last %s, runs_done %d, %d results",
+				st.State, st.Progress.RunsDone, len(st.Results))
+		}
+	}
+	if err := svc.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	if end := waitJob(t, j); end.State != enc.JobCanceled {
+		t.Errorf("after cancel: state = %s (%s), want canceled", end.State, end.Error)
+	}
+	return st
+}
+
+// shortAndLong is a job's two runs: one that lands in milliseconds and
+// one that replays for seconds.
+var shortAndLong = []enc.RunSpec{
+	{Predictor: "none", Workload: "em3d", Accesses: 20_000},
+	{Predictor: "stems", Workload: "DB2", Accesses: 2_000_000},
+}
+
+// TestRunLandsWhileLaterRunReplays: a multi-run job counts a run done and
+// reports its result as soon as it lands, while a later run is still
+// replaying.
+func TestRunLandsWhileLaterRunReplays(t *testing.T) {
+	svc := mustNew(t, Config{Workers: 1, QueueBound: 4})
+	defer svc.Drain()
+	j := mustSubmit(t, svc, enc.JobSpec{Runs: append([]enc.RunSpec(nil), shortAndLong...)})
+	st := awaitRunning(t, svc, j, func(st enc.JobStatus) bool { return st.Progress.RunsDone == 1 })
+	if len(st.Results) != 1 {
+		t.Errorf("runs_done 1 while running, but %d results, want 1", len(st.Results))
+	}
+}
+
+// TestResultsAreRunOrderPrefix: a run that lands before an earlier run is
+// counted done at once, but its result is reported only when every
+// earlier run has landed, so results stay in run order.
+func TestResultsAreRunOrderPrefix(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("needs two runs of one job replaying at once (GOMAXPROCS >= 2)")
+	}
+	svc := mustNew(t, Config{Workers: 1, QueueBound: 4})
+	defer svc.Drain()
+	j := mustSubmit(t, svc, enc.JobSpec{Runs: []enc.RunSpec{shortAndLong[1], shortAndLong[0]}})
+	st := awaitRunning(t, svc, j, func(st enc.JobStatus) bool { return st.Progress.RunsDone == 1 })
+	if len(st.Results) != 0 {
+		t.Errorf("run 1 landed before run 0, but %d results reported, want 0", len(st.Results))
 	}
 }

@@ -179,6 +179,7 @@ type Service struct {
 	jobsCanceled  *obs.Counter
 	runsComputed  *obs.Counter
 	accessesSim   *obs.Counter
+	traceHits     *obs.Counter
 }
 
 type arenaKey struct {
@@ -272,8 +273,7 @@ func (s *Service) register() {
 
 	r.FuncCounter("stemsd_trace_generations_total", "Workload traces generated into the arena.",
 		func() float64 { return float64(s.arena.Stats().Generations) })
-	r.FuncCounter("stemsd_trace_hits_total", "Arena hits (runs served an already-resident trace).",
-		func() float64 { return float64(s.arena.Stats().Hits) })
+	s.traceHits = r.Counter("stemsd_trace_hits_total", "Arena hits (runs served an already-resident trace).")
 	r.Gauge("stemsd_traces_resident", "Traces resident in the arena.",
 		func() float64 { return float64(s.arena.Stats().Resident) })
 
@@ -333,13 +333,23 @@ func (s *Service) noteAccesses(delta uint64) {
 // resolveTrace materializes a run's workload trace through the shared
 // arena ahead of simulation so trace resolution (generation, or an
 // arena hit) is timed as its own phase; the Runner's internal arena
-// lookup then finds the trace resident. Lookup errors are ignored here —
-// FromSpec surfaces them at simulate time with full context. A job
-// already canceled skips generation (its Run exits before replaying).
-func (s *Service) resolveTrace(j *Job, name string, seed int64, n int) {
-	if wl, err := stems.WorkloadByName(name); err == nil && j.ctx.Err() == nil {
+// lookup then finds the trace resident. That second lookup is the arena's
+// hit, not the run's, so the service counts trace hits here: a run whose
+// Get did not generate was served a resident trace. Lookup errors are
+// ignored here — FromSpec surfaces them at simulate time with full
+// context. A canceled run skips generation (its Run exits before
+// replaying).
+func (s *Service) resolveTrace(ctx context.Context, j *Job, name string, seed int64, n int) {
+	if wl, err := stems.WorkloadByName(name); err == nil && ctx.Err() == nil {
 		start := time.Now()
-		s.arena.Get(name, seed, n, func() []stems.Access { return wl.Generate(seed, n) })
+		generated := false
+		s.arena.Get(name, seed, n, func() []stems.Access {
+			generated = true
+			return wl.Generate(seed, n)
+		})
+		if !generated {
+			s.traceHits.Inc()
+		}
 		s.notePhase(j, enc.PhaseResolve, time.Since(start))
 	}
 	// LRU bookkeeping runs after the Get so the bound is enforced against
@@ -546,7 +556,7 @@ func (s *Service) Metrics() enc.Metrics {
 		AccessesSimulated: s.accessesSim.Value(),
 		TracesResident:    ast.Resident,
 		TraceGenerations:  ast.Generations,
-		TraceHits:         ast.Hits,
+		TraceHits:         int(s.traceHits.Value()),
 	}
 	if total := hits + misses; total > 0 {
 		m.CacheHitRate = float64(hits) / float64(total)
@@ -593,12 +603,10 @@ func (s *Service) Metrics() enc.Metrics {
 	return m
 }
 
-// execute is the worker body: it produces every run's result, consulting
-// the result cache before simulating, and records them in job order. The
-// runs this job leads compute concurrently up front (see computeLed);
-// every other run is answered at its slot by runOne. The terminal state is
-// counted before it is published, so a client that has seen the job end
-// also sees it in the service counters.
+// execute is the worker body: it runs the job (see runJob) and moves it
+// to its terminal state. The terminal state is counted before it is
+// published, so a client that has seen the job end also sees it in the
+// service counters.
 func (s *Service) execute(j *Job) {
 	if !j.begin() {
 		// Cancelled while queued; requestCancel finished and counted it.
@@ -627,117 +635,47 @@ func canceled(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// runErr attributes a run's failure to its slot in the job; cancellations
-// pass through as they are.
-func runErr(i int, r *resolvedRun, err error) error {
-	if canceled(err) {
-		return err
-	}
-	return fmt.Errorf("run %d (%s/%s): %w", i, r.spec.Predictor, r.spec.Workload, err)
-}
-
-// runJob fills the job's result list in run order.
+// runJob produces the job's runs, up to GOMAXPROCS at a time, and lands
+// each labeled result on the job as soon as it is ready. The first run
+// to fail cancels the rest.
 func (s *Service) runJob(j *Job) error {
-	early, err := s.computeLed(j)
-	if err != nil {
-		return err
-	}
-	for i := range j.runs {
-		if err := j.ctx.Err(); err != nil {
-			return err
-		}
+	_, err := par.Map(j.ctx, len(j.runs), 0, func(ctx context.Context, i int) (struct{}, error) {
 		r := &j.runs[i]
-		res, ok := early[r.key]
-		if ok {
-			delete(early, r.key) // a later duplicate of the key is a cache hit
-		} else if res.data, res.fromCache, err = s.runOne(j, r); err != nil {
-			return runErr(i, r, err)
+		data, fromCache, err := s.produce(ctx, j, r)
+		if err != nil {
+			if canceled(err) {
+				return struct{}{}, err
+			}
+			return struct{}{}, fmt.Errorf("run %d (%s/%s): %w", i, r.spec.Predictor, r.spec.Workload, err)
 		}
 		encStart := time.Now()
-		labeled, err := enc.Relabel(res.data, r.spec.Label)
+		labeled, err := enc.Relabel(data, r.spec.Label)
 		s.notePhase(j, enc.PhaseEncode, time.Since(encStart))
 		if err != nil {
-			return err
+			return struct{}{}, err
 		}
-		j.noteRunDone(labeled, r.n, res.fromCache)
-	}
-	return nil
-}
-
-// earlyResult is a run's canonical bytes produced ahead of its slot, and
-// whether they came from the cache (for exact hit accounting).
-type earlyResult struct {
-	data      []byte
-	fromCache bool
-}
-
-// ledRun is a run whose cache key this job won the single-flight claim
-// for: its index in the job and the flight it must resolve.
-type ledRun struct {
-	i  int
-	fl *flight
-}
-
-// computeLed routes each distinct key of the job the way runOne would: a
-// cached result is taken now, a key another flight owns is left for
-// runOne to wait on at its slot, and the keys this job wins the claim for
-// are computed here, concurrently. It returns the results it produced,
-// keyed by content address. Every claimed flight is resolved exactly
-// once, including those of runs never started because another failed or
-// the job was cancelled.
-func (s *Service) computeLed(j *Job) (map[string]earlyResult, error) {
-	early := make(map[string]earlyResult)
-	seen := make(map[string]bool, len(j.runs))
-	var led []ledRun
-	for i := range j.runs {
-		key := j.runs[i].key
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		if data, ok := s.cache.get(key); ok {
-			early[key] = earlyResult{data: data, fromCache: true}
-		} else if fl, leader := s.cache.claim(key); leader {
-			led = append(led, ledRun{i: i, fl: fl})
-		}
-	}
-	started := make([]bool, len(led))
-	out, err := par.Map(j.ctx, len(led), 0, func(ctx context.Context, k int) ([]byte, error) {
-		started[k] = true
-		r := &j.runs[led[k].i]
-		data, err := s.lead(ctx, j, r, led[k].fl)
-		if err != nil {
-			return nil, runErr(led[k].i, r, err)
-		}
-		return data, nil
+		j.land(i, labeled, r.n, fromCache)
+		return struct{}{}, nil
 	})
-	for k, l := range led {
-		if !started[k] {
-			// par.Map skips a run only once its context is done, and then
-			// reports an error.
-			s.cache.resolve(j.runs[l.i].key, l.fl, nil, err)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	for k, l := range led {
-		early[j.runs[l.i].key] = earlyResult{data: out[k]}
-	}
-	return early, nil
+	return err
 }
 
-// runOne produces the canonical (label-less) result bytes for one run:
-// from the cache, from another job's in-flight computation, or by
-// simulating. At most one computation per content address runs at a time.
-func (s *Service) runOne(j *Job, r *resolvedRun) (data []byte, fromCache bool, err error) {
+// produce returns one run's canonical (label-less) result bytes and
+// whether a cache served them. Each attempt asks the cache once: a hit
+// returns its bytes, another run's flight is waited on, and a flight
+// this run leads is computed and resolved here. At most one computation
+// per content address runs at a time.
+func (s *Service) produce(ctx context.Context, j *Job, r *resolvedRun) (data []byte, fromCache bool, err error) {
 	for {
-		if data, ok := s.cache.get(r.key); ok {
+		data, fl, lead := s.cache.lookup(r.key)
+		if fl == nil {
 			return data, true, nil
 		}
-		fl, leader := s.cache.claim(r.key)
-		if leader {
-			data, err = s.lead(j.ctx, j, r, fl)
+		if lead {
+			data, err = s.compute(ctx, j, r)
+			storeStart := time.Now()
+			s.cache.resolve(r.key, fl, data, err)
+			s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
 			return data, false, err
 		}
 		select {
@@ -748,21 +686,11 @@ func (s *Service) runOne(j *Job, r *resolvedRun) (data []byte, fromCache bool, e
 			}
 			// The leader failed — most likely its own job was cancelled,
 			// which says nothing about ours. Its flight is gone from the
-			// table; loop to claim leadership and compute independently.
-		case <-j.ctx.Done():
-			return nil, false, j.ctx.Err()
+			// table; ask the cache again.
+		case <-ctx.Done():
+			return nil, false, ctx.Err()
 		}
 	}
-}
-
-// lead computes a run whose flight fl this job leads and resolves the
-// flight with the result bytes, or with the failure.
-func (s *Service) lead(ctx context.Context, j *Job, r *resolvedRun, fl *flight) ([]byte, error) {
-	data, err := s.compute(ctx, j, r)
-	storeStart := time.Now()
-	s.cache.resolve(r.key, fl, data, err)
-	s.notePhase(j, enc.PhaseStore, time.Since(storeStart))
-	return data, err
 }
 
 // compute simulates one run and returns its canonical result bytes. The
@@ -780,7 +708,7 @@ func (s *Service) compute(ctx context.Context, j *Job, r *resolvedRun) ([]byte, 
 	if err != nil {
 		return nil, err
 	}
-	s.resolveTrace(j, r.spec.Workload, r.spec.Seed, r.n)
+	s.resolveTrace(ctx, j, r.spec.Workload, r.spec.Seed, r.n)
 	simStart := time.Now()
 	res, err := runner.Run(ctx)
 	s.notePhase(j, enc.PhaseSimulate, time.Since(simStart))

@@ -240,9 +240,10 @@ func TestSweepJob(t *testing.T) {
 	if m := svc.Metrics(); m.RunsComputed != 2 {
 		t.Errorf("runs computed = %d, want 2", m.RunsComputed)
 	}
-	// The em3d trace was generated once and shared through the arena.
-	if m := svc.Metrics(); m.TraceGenerations != 1 {
-		t.Errorf("trace generations = %d, want 1", m.TraceGenerations)
+	// The em3d trace was generated once and shared through the arena:
+	// of the two computed runs, one generated it and one hit it.
+	if m := svc.Metrics(); m.TraceGenerations != 1 || m.TraceHits != 1 {
+		t.Errorf("trace generations, hits = %d, %d; want 1, 1", m.TraceGenerations, m.TraceHits)
 	}
 }
 

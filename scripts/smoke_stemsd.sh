@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # smoke_stemsd.sh — black-box smoke test of the stemsd daemon: build it,
 # start it, hit /healthz, submit one small job, watch it finish, check the
-# /metrics counters moved, then SIGTERM and require a clean (exit 0)
-# drain. It then relaunches the daemon on the same -store directory and
+# /metrics counters moved, require a two-run job to report its short
+# first run (runs_done 1, one result) while its long second run still
+# replays and to end canceled on DELETE, then SIGTERM and require a clean
+# (exit 0) drain. It then relaunches the daemon on the same -store directory and
 # requires the same job to be answered from disk: zero runs computed, one
 # cache hit. A third launch runs from a -config file with an "@every 1s"
 # schedule wired to a webhook notifier (a local webhooksink receiver that
@@ -190,6 +192,33 @@ echo "== bad knob is a structured 400"
 CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/jobs" \
   -H 'Content-Type: application/json' -d '{"knobs":{"no.such.knob":1}}')"
 [[ "$CODE" == "400" ]] || { echo "bad knob returned HTTP $CODE, want 400"; exit 1; }
+
+echo "== a two-run job reports its first run while the second replays, then cancels"
+PSUBMIT="$(curl -fsS -X POST "$BASE/v1/jobs" -H 'Content-Type: application/json' \
+  -d '{"runs":[{"predictor":"none","workload":"em3d","accesses":5000},
+               {"predictor":"stems","workload":"DB2","accesses":3000000}]}')"
+PJOB="$(jsonfield "$PSUBMIT" id)"
+[[ "$PJOB" == j-* ]] || { echo "no job id in two-run response"; exit 1; }
+LANDED=""
+for _ in $(seq 1 200); do # every 0.1 s for at most 20 s
+  PSTATUS="$(curl -fsS "$BASE/v1/jobs/$PJOB")"
+  PSTATE="$(jsonfield "$PSTATUS" state)"
+  if [[ "$PSTATE" == "running" && "$(jsonfield "$PSTATUS" runs_done)" == "1" ]]; then
+    LANDED=1
+    break
+  fi
+  [[ "$PSTATE" == "running" || "$PSTATE" == "queued" ]] || break
+  sleep 0.1
+done
+[[ -n "$LANDED" ]] || { echo "never saw runs_done 1 while the job ran: $PSTATUS"; exit 1; }
+[[ "$(grep -o '"covered"' <<<"$PSTATUS" | wc -l)" -eq 1 ]] || { echo "running job with one run done does not report exactly one result: $PSTATUS"; exit 1; }
+curl -fsS -X DELETE "$BASE/v1/jobs/$PJOB" >/dev/null
+for _ in $(seq 1 100); do
+  PSTATE="$(jsonfield "$(curl -fsS "$BASE/v1/jobs/$PJOB")" state)"
+  [[ "$PSTATE" == "running" ]] || break
+  sleep 0.1
+done
+[[ "$PSTATE" == "canceled" ]] || { echo "two-run job ended '$PSTATE' after DELETE, want canceled"; exit 1; }
 
 echo "== SIGTERM drains cleanly"
 kill -TERM "$PID"
